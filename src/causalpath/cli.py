@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .markov import JointMarkovModel, NonErgodicError, simulate
 from .measure import (
     CausalTrace,
     EstimatorConfig,
-    causality_regret_bound,
+    bound_curve,
     estimate_causal_trace,
     estimate_partial_trace,
     plug_in_di_rate,
@@ -152,6 +151,7 @@ def cmd_estimate(args) -> int:
     y = read_symbol_csv(args.y, ay)
     model = JointMarkovModel.load(args.model) if args.model else None
     written = []
+    trace_meta = {}
     for label, target, side, truth in _direction_runs(args, x, y, model):
         config = EstimatorConfig(
             target.alphabet, side.alphabet, depth=args.d, staleness=args.k, direction=label
@@ -162,6 +162,7 @@ def cmd_estimate(args) -> int:
             trace = estimate_causal_trace(target, side, config, truth_model=truth)
         path = _write_trace(outdir, f"trace_{label}", trace, args.format)
         written.append(str(path))
+        trace_meta[label] = trace.metadata
         print(
             f"{label}: n={len(trace)} plug-in rate={plug_in_di_rate(trace):.6f} bits/step"
             f" (L={trace.metadata['reference_leaves']}, S={trace.metadata['reference_nodes']}"
@@ -181,6 +182,7 @@ def cmd_estimate(args) -> int:
             "format": args.format,
             "traces": written,
             "truth_columns": model is not None,
+            "trace_metadata": trace_meta,
         },
     )
     return 0
@@ -226,14 +228,15 @@ def cmd_bounds(args) -> int:
         print(f"stale predictor:      L={report['stale']['L']} S={report['stale']['S']}"
               f" bound={report['stale']['bound_bits']:.2f} bits")
     if args.trace:
-        curve = _bound_curve_from_trace(args.trace, report)
+        reference = stale if args.k is not None else restricted
+        curve = _bound_curve_from_trace(args.trace, complete, reference)
         report["trace"] = args.trace
         if args.out:
             outdir = _outdir(args)
             with open(outdir / "bound_curve.csv", "w") as fp:
                 fp.write("i,m_complete,m_reference,bound_bits\n")
                 for row in curve:
-                    fp.write(",".join("" if v is None else f"{v:.12g}" for v in row) + "\n")
+                    fp.write(",".join("" if math.isnan(v) else f"{v:.12g}" for v in row) + "\n")
             print(f"wrote bound curve ({len(curve)} rows) to {outdir / 'bound_curve.csv'}")
     if args.out:
         outdir = _outdir(args)
@@ -241,35 +244,15 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _bound_curve_from_trace(trace_path: str, report: dict) -> list[tuple]:
+def _bound_curve_from_trace(trace_path: str, complete, reference) -> np.ndarray:
+    """Rows (i, m_complete, m_reference, bound_bits), NaN where undefined."""
     with open(trace_path, newline="") as fp:
         rows = list(csv.DictReader(fp))
     if not rows or "c_i" not in rows[0]:
         raise ValueError(f"{trace_path}: not a trace export with a c_i column")
     c = np.array([float(r["c_i"]) for r in rows])
-    m = report["m"]
-    lc, sc = report["complete"]["L"], report["complete"]["S"]
-    if "stale" in report:
-        lr, sr = report["stale"]["L"], report["stale"]["S"]
-    else:
-        lr, sr = report["restricted"]["L"], None
-    csq = np.cumsum(c**2)
-    curve = []
-    for i in range(1, c.size + 1):
-        if i < max(lc, lr):
-            curve.append((i, None, None, None))
-            continue
-        mc = regret_bound_side_info(m, lc, sc, i)
-        mr = (
-            regret_bound_plain(m, lr, i)
-            if sr is None
-            else regret_bound_side_info(m, lr, sr, i)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            bound = causality_regret_bound(mc, mr, math.sqrt(csq[i - 1]))
-        curve.append((i, mc, mr, bound))
-    return curve
+    _, mc, mr, bound = bound_curve(complete, reference, c)
+    return np.column_stack([np.arange(1, c.size + 1), mc, mr, bound])
 
 
 def cmd_dsep(args) -> int:
@@ -313,6 +296,7 @@ def cmd_stocks(args) -> int:
     _write_symbols(outdir, f"symbols_{args.label_b}", sym_b, args.format, dates)
 
     summaries = {}
+    trace_meta = {}
     # a -> b: market b's move conditioned on market a's strictly prior close
     runs = [
         (f"{args.label_a}_to_{args.label_b}", sym_b, sym_a),
@@ -327,6 +311,7 @@ def cmd_stocks(args) -> int:
         _write_trace(outdir, f"trace_{label}", trace, args.format)
         summary = _state_summary(trace, target, side, args.d)
         summaries[label] = summary
+        trace_meta[label] = trace.metadata
         with open(outdir / f"summary_{label}.csv", "w") as fp:
             fp.write(
                 "target_prev,side_prev,count,occupancy_pct,"
@@ -355,6 +340,7 @@ def cmd_stocks(args) -> int:
             "format": args.format,
             "alignment": align_meta,
             "plug_in_di_bits": {k: v["plug_in_di_bits"] for k, v in summaries.items()},
+            "trace_metadata": trace_meta,
         },
     )
     return 0

@@ -81,10 +81,11 @@ class ProbDist:
             raise ValueError(
                 f"need {self.alphabet.size} probabilities, got shape {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValueError("negative probability entry")
+        # written so that NaN fails both comparisons; an inf entry fails the sum
+        if not np.all(arr >= 0.0):
+            raise ValueError("negative or NaN probability entry")
         total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probs", arr)
 

@@ -10,10 +10,11 @@ supported:
   symbol alone and whose deeper d levels branch on the pair, so the newest k
   side-information samples are withheld from the predictor.
 
-Counts are stored exactly as integers; block probabilities are kept in the
-log2 domain. Pre-start context positions (time indices before the first
-sample) are represented as a dedicated absent branch per level, so predictions
-are defined from the very first symbol and the telescoping identity
+Trees are flat per-node lists in the log2 domain, as in array CTW (Veness
+et al., JAIR 2011); counts are exact integers. Pre-start context positions
+(time indices before the first sample) are represented as a dedicated absent
+branch per level, so predictions are defined from the very first symbol and
+the telescoping identity
   prod_i p_hat_i(x_i) = root weighted block probability
 holds exactly over the whole stream.
 
@@ -50,31 +51,6 @@ def kt_predict(counts: Sequence[int], m: int) -> ProbDist:
         raise ValueError("counts must be nonnegative")
     total = float(arr.sum())
     return ProbDist(Alphabet(m), (arr + 0.5) / (total + 0.5 * m))
-
-
-def _kt_row(counts: list, total: int, m: int) -> np.ndarray:
-    denom = total + 0.5 * m
-    return (np.asarray(counts, dtype=np.float64) + 0.5) / denom
-
-
-def _kt_log2_block(counts: Sequence[int], m: int) -> float:
-    """log2 KT block probability from final counts (KT is exchangeable)."""
-    out = 0.0
-    total = 0
-    for c in counts:
-        for j in range(c):
-            out += math.log2(j + 0.5)
-        total += c
-    for t in range(total):
-        out -= math.log2(t + 0.5 * m)
-    return out
-
-
-def _log2_add(a: float, b: float) -> float:
-    """log2(2**a + 2**b), stable."""
-    if a < b:
-        a, b = b, a
-    return a + math.log2(1.0 + 2.0 ** (b - a))
 
 
 @dataclass(frozen=True)
@@ -114,18 +90,48 @@ class ContextSchema:
         return [mx] * self.staleness + [pair] * self.depth
 
     def leaf_count(self) -> int:
-        out = 1
-        for b in self.level_sizes():
-            out *= b
-        return out
+        return math.prod(self.level_sizes())
 
     def node_count(self) -> int:
-        out = 1
-        layer = 1
+        sizes = self.level_sizes()
+        return sum(math.prod(sizes[:j]) for j in range(len(sizes) + 1))
+
+    def key_layout(self) -> tuple[list[int], list[int]]:
+        """(offsets, weights): the key of a level-j node is offsets[j] plus
+        the mixed-radix code of its context prefix, in which level i's digit
+        (the symbol, or b_i for the absent branch) has radix b_i + 1 and
+        weight weights[i - 1]. offsets[-1] is the number of keys."""
+        offsets, weights, weight = [0], [], 1
         for b in self.level_sizes():
-            layer *= b
-            out += layer
-        return out
+            offsets.append(offsets[-1] + weight)
+            weights.append(weight)
+            weight *= b + 1
+        offsets.append(offsets[-1] + weight)
+        return offsets, weights
+
+    def key_paths(self, x, y=None, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Node keys, root first, along the context path of each position in
+        [start, stop): the vectorized context_at. The symbols are not
+        checked; the caller validates its streams once."""
+        stop = len(x) if stop is None else stop
+        offsets, weights = self.key_layout()
+        dtype = np.int64 if offsets[-1] < 2**62 else object  # else exact Python ints
+        depth, rows, mx = self.total_depth, stop - start, self.target_alphabet.size
+        lo = max(start - depth, 0)
+        first = depth - start + lo
+        # target (row 0) and pair (row 1) digits of positions start - depth .. stop - 1
+        hist = np.full((2, rows + depth), mx, dtype=dtype)
+        xs = np.asarray(x[lo:stop], dtype=np.int64)
+        hist[0, first:] = xs
+        if self.side_alphabet is not None:
+            hist[1, :first] = mx * self.side_alphabet.size
+            hist[1, first:] = xs + mx * np.asarray(y[lo:stop], dtype=np.int64)
+        keys = np.zeros((rows, depth + 1), dtype=dtype)
+        for j in range(1, depth + 1):
+            pair = int(self.side_alphabet is not None and j > self.staleness)
+            digits = hist[pair, depth - j : depth - j + rows]
+            keys[:, j] = keys[:, j - 1] + (offsets[j] - offsets[j - 1]) + weights[j - 1] * digits
+        return keys
 
     def context_at(self, x: np.ndarray, i: int, y: Optional[np.ndarray] = None) -> tuple:
         """Context for predicting position i (0-based) of the target stream.
@@ -151,22 +157,13 @@ class ContextSchema:
         return tuple(ctx)
 
 
-class _Node:
-    __slots__ = ("counts", "total", "log_pe", "log_pw", "children", "children_lpw_sum")
-
-    def __init__(self, m: int):
-        self.counts = [0] * m
-        self.total = 0
-        self.log_pe = 0.0
-        self.log_pw = 0.0
-        self.children: dict = {}
-        self.children_lpw_sum = 0.0
-
-
 class ContextTree:
     """CTW predictor state over a ContextSchema.
 
-    Single-writer value: observe() mutates in place; predict() is read-only.
+    Per-node lists are indexed by slot; one dict maps node keys (see
+    ContextSchema.key_layout) to slots, which the first observation through
+    a node allocates. Single-writer value: observe() and step() mutate in
+    place; predict() is read-only.
     """
 
     def __init__(self, schema: ContextSchema):
@@ -174,25 +171,38 @@ class ContextTree:
         self._m = schema.target_alphabet.size
         self._depth = schema.total_depth
         self._sizes = schema.level_sizes()
-        self.root = _Node(self._m)
+        self._offsets, self._weights = schema.key_layout()
+        self._slot: dict[int, int] = {}
+        self._counts: list[list[int]] = []
+        self._total: list[int] = []
+        self._log_pe: list[float] = []
+        self._log_pw: list[float] = []
+        self._child_lpw: list[float] = []
+        self._update([0], [None], None)  # the root
 
-    def _check_context(self, context) -> tuple:
+    @property
+    def nodes_allocated(self) -> int:
+        return len(self._total)
+
+    def _context_keys(self, context) -> list[int]:
+        """Key path (root first) of a validated per-context tuple."""
         ctx = tuple(context)
         if len(ctx) != self._depth:
             raise ValueError(
                 f"context length {len(ctx)} does not match schema depth {self._depth}"
             )
-        seen_none = False
+        keys, code = [0], 0
         for j, c in enumerate(ctx):
             if c is None:
-                seen_none = True
-                continue
-            if seen_none:
+                c = self._sizes[j]
+            elif j and ctx[j - 1] is None:
                 # absent positions are always the oldest part of the history
                 raise ValueError("absent context below a present one")
-            if not (0 <= int(c) < self._sizes[j]):
+            elif not (0 <= int(c) < self._sizes[j]):
                 raise ValueError(f"context symbol {c} out of range at level {j + 1}")
-        return ctx
+            code += self._weights[j] * int(c)
+            keys.append(self._offsets[j + 1] + code)
+        return keys
 
     def predict(self, context) -> ProbDist:
         """One-step predictive distribution implied by the weighted tree.
@@ -201,104 +211,134 @@ class ContextTree:
         hypothetically appending each candidate symbol; entries are strictly
         positive.
         """
-        ctx = self._check_context(context)
-        m = self._m
-        path: list[Optional[_Node]] = [self.root]
-        node: Optional[_Node] = self.root
-        for c in ctx:
-            node = None if node is None else node.children.get(c)
-            path.append(node)
-        # leaf-to-root mixture of KT rows
-        deepest = path[self._depth]
-        pred = (
-            _kt_row(deepest.counts, deepest.total, m)
-            if deepest is not None
-            else np.full(m, 1.0 / m)
-        )
-        for level in range(self._depth - 1, -1, -1):
-            node = path[level]
-            if node is None:
-                # empty subtree: both mixture components are uniform
-                continue
-            alpha = 2.0 ** (_LOG2_HALF + node.log_pe - node.log_pw)
-            alpha = min(max(alpha, 0.0), 1.0)
-            pred = alpha * _kt_row(node.counts, node.total, m) + (1.0 - alpha) * pred
-        pred = pred / pred.sum()
-        return ProbDist(self.schema.target_alphabet, pred)
+        slots = list(map(self._slot.get, self._context_keys(context)))
+        return ProbDist(self.schema.target_alphabet, np.array(self._mix(slots)))
 
     def observe(self, context, symbol: int) -> None:
         """Record symbol under context, updating counts and log-probabilities
         along the context path only."""
-        ctx = self._check_context(context)
+        keys = self._context_keys(context)
         sym = int(symbol)
         if not (0 <= sym < self._m):
             raise ValueError(f"symbol {sym} out of target alphabet")
-        path = [self.root]
-        node = self.root
-        for c in ctx:
-            child = node.children.get(c)
-            if child is None:
-                child = _Node(self._m)
-                node.children[c] = child
-            path.append(child)
-            node = child
+        self._update(keys, list(map(self._slot.get, keys)), sym)
+
+    def step(self, keys: list[int], symbol: int) -> list[float]:
+        """Predict, then observe symbol, on one unchecked key path from
+        ContextSchema.key_paths (the caller validates its streams once)."""
+        slots = list(map(self._slot.get, keys))
+        pred = self._mix(slots)
+        self._update(keys, slots, symbol)
+        return pred
+
+    def _mix(self, slots: list) -> list[float]:
+        """Leaf-to-root mixture of KT rows along a slot path."""
+        m = self._m
+        half_m = 0.5 * m
+        counts, total = self._counts, self._total
+        s = slots[-1]
+        if s is None:
+            pred = [1.0 / m] * m
+        else:
+            denom = total[s] + half_m
+            pred = [(c + 0.5) / denom for c in counts[s]]
+        for s in slots[-2::-1]:
+            if s is None:
+                # empty subtree: both mixture components are uniform
+                continue
+            alpha = 2.0 ** (_LOG2_HALF + self._log_pe[s] - self._log_pw[s])
+            if alpha > 1.0:  # rounding; a power of two is never negative
+                alpha = 1.0
+            beta = 1.0 - alpha
+            denom = total[s] + half_m
+            pred = [alpha * ((c + 0.5) / denom) + beta * p for c, p in zip(counts[s], pred)]
+        norm = sum(pred)
+        return [p / norm for p in pred]
+
+    def _update(self, keys: list[int], slots: list, sym: Optional[int]) -> None:
+        """Allocate the path's missing slots, then fold sym (unless None)
+        into every node on the path, leaf first."""
+        if None in slots:
+            for j, s in enumerate(slots):
+                if s is None:
+                    slots[j] = self._slot[keys[j]] = len(self._total)
+                    self._counts.append([0] * self._m)
+                    self._total.append(0)
+                    for values in (self._log_pe, self._log_pw, self._child_lpw):
+                        values.append(0.0)
+        if sym is None:
+            return
+        log2 = math.log2
         half_m = 0.5 * self._m
+        counts, total = self._counts, self._total
+        log_pe, log_pw, child_lpw = self._log_pe, self._log_pw, self._child_lpw
+        depth = self._depth
         delta = 0.0
-        for level in range(self._depth, -1, -1):
-            node = path[level]
-            if level < self._depth:
-                node.children_lpw_sum += delta
-            node.log_pe += math.log2(
-                (node.counts[sym] + 0.5) / (node.total + half_m)
-            )
-            node.counts[sym] += 1
-            node.total += 1
-            old_lpw = node.log_pw
-            if level == self._depth:
-                node.log_pw = node.log_pe
+        for level in range(depth, -1, -1):
+            s = slots[level]
+            cs = counts[s]
+            log_pe[s] += log2((cs[sym] + 0.5) / (total[s] + half_m))
+            cs[sym] += 1
+            total[s] += 1
+            old_lpw = log_pw[s]
+            if level == depth:
+                log_pw[s] = log_pe[s]
             else:
-                node.log_pw = _log2_add(
-                    _LOG2_HALF + node.log_pe, _LOG2_HALF + node.children_lpw_sum
-                )
-            delta = node.log_pw - old_lpw
+                child_lpw[s] += delta
+                # log2(2**a + 2**b) for the two halves of the mixture
+                a, b = _LOG2_HALF + log_pe[s], _LOG2_HALF + child_lpw[s]
+                if a < b:
+                    a, b = b, a
+                log_pw[s] = a + log2(1.0 + 2.0 ** (b - a))
+            delta = log_pw[s] - old_lpw
 
     @property
     def log2_block_probability(self) -> float:
         """log2 of the root weighted probability of everything observed."""
-        return self.root.log_pw
+        return self._log_pw[0]
 
     def nodes(self):
-        """Yield (path, node) pairs in deterministic depth-first order."""
-        stack = [((), self.root)]
+        """Yield (path, slot) pairs in deterministic depth-first order; a path
+        holds one context symbol per level, None for the absent branch."""
+        stack = [((), 0, 0)]
         while stack:
-            path, node = stack.pop()
-            yield path, node
-            for c in sorted(node.children, key=lambda v: (v is None, v)):
-                stack.append((path + (c,), node.children[c]))
+            path, level, code = stack.pop()
+            yield path, self._slot[self._offsets[level] + code]
+            if level == self._depth:
+                continue
+            b, w = self._sizes[level], self._weights[level]
+            for digit in range(b + 1):  # the absent branch b last
+                child = code + w * digit
+                if self._offsets[level + 1] + child in self._slot:
+                    stack.append((path + (None if digit == b else digit,), level + 1, child))
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
-        for path, node in self.nodes():
-            assert len(path) <= self._depth, "node below schema depth"
+        child_total: dict = {}
+        for path, s in self.nodes():
+            assert self._total[s] == sum(self._counts[s]), "total mismatch with counts"
             if len(path) == self._depth:
-                assert not node.children, "leaf with children"
-                assert abs(node.log_pw - node.log_pe) < 1e-12
-            elif node.children:
-                child_total = sum(ch.total for ch in node.children.values())
-                assert node.total == child_total, "count mismatch with children"
+                assert abs(self._log_pw[s] - self._log_pe[s]) < 1e-12
+            if path:
+                child_total[path[:-1]] = child_total.get(path[:-1], 0) + self._total[s]
+        for path, s in self.nodes():
+            if path in child_total:
+                assert self._total[s] == child_total[path], "count mismatch with children"
 
     def dump(self, fp: IO[str]) -> None:
         """Write a versioned textual snapshot (one record per node)."""
         s = self.schema
         side = s.side_alphabet.size if s.side_alphabet is not None else "-"
         fp.write(f"causalpath-ctw 1 {s.target_alphabet.size} {side} {s.depth} {s.staleness}\n")
-        for path, node in self.nodes():
+        for path, slot in self.nodes():
             toks = ["~" if c is None else str(c) for c in path]
-            counts = ",".join(str(c) for c in node.counts)
+            counts = ",".join(str(c) for c in self._counts[slot])
             fp.write(f"{'.'.join(toks) if toks else ''}|{counts}\n")
 
     @classmethod
     def load(cls, fp: IO[str]) -> "ContextTree":
+        """Replay each dumped leaf's counts through the update path; raises
+        ValueError unless that rebuilds exactly the dumped nodes and counts."""
         header = fp.readline().split()
         if len(header) != 6 or header[0] != "causalpath-ctw" or header[1] != "1":
             raise ValueError("unrecognized tree dump header")
@@ -306,66 +346,58 @@ class ContextTree:
         side = None if header[3] == "-" else Alphabet(int(header[3]))
         schema = ContextSchema(target, side, int(header[4]), int(header[5]))
         tree = cls(schema)
-        m = target.size
+        records = {}
         for line in fp:
             line = line.strip()
             if not line:
                 continue
             path_s, counts_s = line.split("|")
+            path = tuple(None if t == "~" else int(t) for t in path_s.split(".") if path_s)
             counts = [int(v) for v in counts_s.split(",")]
-            if len(counts) != m:
+            if len(counts) != target.size:
                 raise ValueError("count record length mismatch")
-            node = tree.root
-            if path_s:
-                for tok in path_s.split("."):
-                    c = None if tok == "~" else int(tok)
-                    child = node.children.get(c)
-                    if child is None:
-                        child = _Node(m)
-                        node.children[c] = child
-                    node = child
-            node.counts = counts
-            node.total = sum(counts)
-        tree._recompute_logs(tree.root, 0)
+            records[path] = counts
+        for path, counts in records.items():
+            if len(path) == tree._depth:
+                keys = tree._context_keys(path)
+                slots = list(map(tree._slot.get, keys))
+                for sym, c in enumerate(counts):
+                    for _ in range(c):
+                        tree._update(keys, slots, sym)
+        rebuilt = {path: tree._counts[s] for path, s in tree.nodes()}
+        if rebuilt != {**{(): [0] * target.size}, **records}:
+            raise ValueError("tree dump is not consistent with its leaf counts")
         return tree
 
-    def _recompute_logs(self, node: _Node, level: int) -> None:
-        for child in node.children.values():
-            self._recompute_logs(child, level + 1)
-        node.log_pe = _kt_log2_block(node.counts, self._m)
-        node.children_lpw_sum = sum(ch.log_pw for ch in node.children.values())
-        if level == self._depth:
-            node.log_pw = node.log_pe
-        else:
-            node.log_pw = _log2_add(
-                _LOG2_HALF + node.log_pe, _LOG2_HALF + node.children_lpw_sum
-            )
+
+def _log2_ratio(n, L: int):
+    if np.min(n) < L:
+        raise ValueError(f"horizon n={np.min(n)} below leaf count L={L}")
+    return np.log2(np.divide(n, L))
 
 
-def regret_bound_plain(m: int, L: int, n: int) -> float:
+def regret_bound_plain(m: int, L: int, n):
     """Worst-case log-loss regret bound (bits) of a plain depth-limited CTW
-    against Markov sources with L states over an m-ary alphabet."""
+    against Markov sources with L states over an m-ary alphabet; elementwise
+    over an array of horizons n."""
     if m < 2 or L < 1:
         raise ValueError("need m >= 2 and L >= 1")
-    if n < L:
-        raise ValueError(f"horizon n={n} below leaf count L={L}")
     return (
-        0.5 * (m - 1) * L * math.log2(n / L)
+        0.5 * (m - 1) * L * _log2_ratio(n, L)
         + L * (m / (m - 1) + math.log2(m))
         - 1.0 / (m - 1)
     )
 
 
-def regret_bound_side_info(m: int, L: int, S: int, n: int) -> float:
+def regret_bound_side_info(m: int, L: int, S: int, n):
     """Worst-case regret bound (bits) of a CTW with a side-information context
-    tree of L leaves and S total nodes."""
+    tree of L leaves and S total nodes; elementwise over an array of
+    horizons n."""
     if m < 2 or L < 1:
         raise ValueError("need m >= 2 and L >= 1")
     if S < L:
         raise ValueError("node count S must be >= leaf count L")
-    if n < L:
-        raise ValueError(f"horizon n={n} below leaf count L={L}")
-    return 0.5 * (m - 1) * L * math.log2(n / L) + L * (m - 1) + S
+    return 0.5 * (m - 1) * L * _log2_ratio(n, L) + L * (m - 1) + S
 
 
 @dataclass(frozen=True)

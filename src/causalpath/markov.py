@@ -86,7 +86,8 @@ class JointMarkovModel:
             arr = np.asarray(initial, dtype=np.float64)
             if arr.shape != (self.num_windows,):
                 raise ValueError("initial distribution has wrong length")
-            if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
+            # written so that NaN and inf entries fail
+            if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):
                 raise ValueError("initial distribution is not a distribution")
             self._initial = arr / arr.sum()
         self._pair_trans: Optional[np.ndarray] = None
@@ -99,10 +100,11 @@ class JointMarkovModel:
             raise ValueError(
                 f"{name} must have shape ({self.num_windows}, {m}), got {arr.shape}"
             )
-        if np.any(arr < 0):
-            raise ValueError(f"{name} has negative entries")
+        # written so that NaN and inf entries fail
+        if not np.all(arr >= 0):
+            raise ValueError(f"{name} has negative or NaN entries")
         sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise ValueError(f"{name} rows must sum to 1")
         return arr / sums[:, None]
 
@@ -217,13 +219,15 @@ class JointMarkovModel:
             np.full((nwin, ax.size), 1.0 / ax.size),
             np.full((nwin, ay.size), 1.0 / ay.size),
         )
-        kx = np.full((nwin, ax.size), np.nan)
-        ky = np.full((nwin, ay.size), np.nan)
+        kx = np.empty((nwin, ax.size))
+        ky = np.empty((nwin, ay.size))
+        covered = set()
         for row in data["kernel"]:
             w = probe.window_index(row["x_window"], row["y_window"])
             kx[w] = row["x_probs"]
             ky[w] = row["y_probs"]
-        if np.any(np.isnan(kx)) or np.any(np.isnan(ky)):
+            covered.add(w)
+        if len(covered) != nwin:
             raise ValueError("model file does not cover every window")
         init = None
         if "initial" in data:
@@ -346,18 +350,6 @@ class RestrictedFilter:
         self._pairidx = widx
         self._y_rem = ycodes % my ** (d - 1)
 
-    @property
-    def time(self) -> int:
-        return self._i
-
-    @property
-    def posterior(self) -> np.ndarray:
-        """Posterior over hidden side-window states given the observed target
-        past (over joint initial windows until the model order is reached)."""
-        if self._i < self.model.order:
-            return self._w.copy()
-        return self._beta.copy()
-
     def predict(self) -> ProbDist:
         m = self.model
         if self._i < m.order:
@@ -411,17 +403,6 @@ class RestrictedFilter:
         self._beta = new_beta / total
         self._xwin = sym + mx * (self._xwin % mx ** (d - 1))
         self._i += 1
-
-
-def restricted_path_dists(model: JointMarkovModel, x_hist) -> list[ProbDist]:
-    """p(x_i | x^{i-1}) for i = 1 .. len(x)+1 via the recursive filter."""
-    xs = _as_array(x_hist)
-    filt = RestrictedFilter(model)
-    out = [filt.predict()]
-    for s in xs:
-        filt.observe(int(s))
-        out.append(filt.predict())
-    return out
 
 
 def stale_history_dist(model: JointMarkovModel, x_hist, y_hist) -> ProbDist:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -126,92 +127,101 @@ def abs_log_ratio_sum(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(np.log2(np.asarray(p)) - np.log2(np.asarray(q))).sum())
 
 
-def causality_regret_bound(mc: float, mr: float, c_norm: float) -> float:
+# Steps per block in the dual run and the bound curve: bounds their temporaries.
+_CHUNK = 512
+
+
+def causality_regret_bound(mc, mr, c_norm):
     """Finite-sample bound (bits) on cumulative absolute estimation error:
-    mc + mr + (c_norm / sqrt(2)) * sqrt(mc).
+    mc + mr + (c_norm / sqrt(2)) * sqrt(mc), elementwise over arrays.
 
     Warns when mc < 1, where the bound's derivation premise is weakened.
     """
-    if mc < 0 or mr < 0 or c_norm < 0:
+    mc, mr, c_norm = (np.asarray(v, dtype=np.float64) for v in (mc, mr, c_norm))
+    if (mc < 0).any() or (mr < 0).any() or (c_norm < 0).any():
         raise ValueError("bound inputs must be nonnegative")
-    if mc < 1.0:
+    if (mc < 1.0).any():
         warnings.warn(
             "complete-predictor regret budget below 1 bit; bound premise weakened",
             RuntimeWarning,
             stacklevel=2,
         )
-    return mc + mr + (c_norm / math.sqrt(2.0)) * math.sqrt(mc)
+    out = mc + mr + (c_norm / math.sqrt(2.0)) * np.sqrt(mc)
+    return float(out) if out.ndim == 0 else out
 
 
-def _dual_run(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    schema_c: ContextSchema,
-    schema_r: ContextSchema,
-    keep_snapshots: bool,
-):
+def bound_curve(schema_c: ContextSchema, schema_r: ContextSchema, cvec: np.ndarray):
+    """(first, mc, mr, bound): the first 1-based step with both regret
+    budgets defined, then per step the complete and reference (plain without
+    side information) budgets and the running deviation bound, NaN before
+    first. From first on mc >= L(m - 1) + S > 1: the premise always holds."""
+    n, m = cvec.size, schema_c.target_alphabet.size
+    lc, sc, lr = schema_c.leaf_count(), schema_c.node_count(), schema_r.leaf_count()
+    first = max(lc, lr)
+    mc, mr, bound = (np.full(n, np.nan) for _ in range(3))
+    c_sq = np.cumsum(cvec**2)
+    for lo in range(first - 1, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        steps = np.arange(lo + 1, hi + 1)
+        mc[lo:hi] = regret_bound_side_info(m, lc, sc, steps)
+        mr[lo:hi] = (
+            regret_bound_plain(m, lr, steps)
+            if schema_r.side_alphabet is None
+            else regret_bound_side_info(m, lr, schema_r.node_count(), steps)
+        )
+        bound[lo:hi] = causality_regret_bound(mc[lo:hi], mr[lo:hi], np.sqrt(c_sq[lo:hi]))
+    return first, mc, mr, bound
+
+
+def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_snapshots: bool):
+    """One predict-then-observe walk per tree and step; returns rows
+    (estimate, c, complete and reference log-loss), snapshots, run stats."""
+    t0 = time.perf_counter()
     n = xs.size
     mx = schema_c.target_alphabet.size
     tree_c, tree_r = ContextTree(schema_c), ContextTree(schema_r)
-    est = np.empty(n)
-    cvec = np.empty(n)
-    llc = np.empty(n)
-    llr = np.empty(n)
+    cols = np.empty((4, n))
     snaps = (np.empty((n, mx)), np.empty((n, mx))) if keep_snapshots else None
-    for i in range(n):
-        ctx_c = schema_c.context_at(xs, i, ys)
-        ctx_r = schema_r.context_at(xs, i, ys)
-        pc = tree_c.predict(ctx_c).probs
-        pr = tree_r.predict(ctx_r).probs
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        syms = xs[lo:hi].tolist()
+        preds_c, preds_r = [], []
+        for keys_c, keys_r, sym in zip(
+            zip(*schema_c.key_paths(xs, ys, lo, hi).T.tolist()),
+            zip(*schema_r.key_paths(xs, ys, lo, hi).T.tolist()),
+            syms,
+        ):
+            preds_c += tree_c.step(keys_c, sym)
+            preds_r += tree_r.step(keys_r, sym)
+        pc, pr = np.array(preds_c).reshape(-1, mx), np.array(preds_r).reshape(-1, mx)
         ratios = np.log2(pc) - np.log2(pr)
-        est[i] = max(float(pc @ ratios), 0.0)
-        cvec[i] = float(np.abs(ratios).sum())
+        est = np.matmul(pc[:, None, :], ratios[:, :, None])[:, 0, 0]
+        cols[0, lo:hi] = np.where(est < 0.0, 0.0, est)
+        cols[1, lo:hi] = np.abs(ratios).sum(axis=1)
+        sym_at = [r * mx + s for r, s in enumerate(syms)]
+        cols[2, lo:hi] = [-math.log2(preds_c[j]) for j in sym_at]
+        cols[3, lo:hi] = [-math.log2(preds_r[j]) for j in sym_at]
         if snaps is not None:
-            snaps[0][i] = pc
-            snaps[1][i] = pr
-        sym = int(xs[i])
-        llc[i] = -math.log2(pc[sym])
-        llr[i] = -math.log2(pr[sym])
-        tree_c.observe(ctx_c, sym)
-        tree_r.observe(ctx_r, sym)
-    return est, cvec, llc, llr, snaps
+            snaps[0][lo:hi] = pc
+            snaps[1][lo:hi] = pr
+    elapsed = time.perf_counter() - t0
+    return cols, snaps, {
+        "nodes_allocated": {
+            "complete": tree_c.nodes_allocated, "reference": tree_r.nodes_allocated
+        },
+        "dual_run_s": elapsed,
+        "dual_run_steps_per_s": n / elapsed if elapsed > 0 else None,
+    }
 
 
-def _bound_curve(
-    n: int,
-    mx: int,
-    complete_lc: int,
-    complete_sc: int,
-    ref_leaves: int,
-    ref_nodes: Optional[int],
-    cvec: np.ndarray,
-) -> np.ndarray:
-    """Running deviation bound; NaN before both bound formulas are defined."""
-    out = np.full(n, np.nan)
-    start = max(complete_lc, ref_leaves)
-    c_sq = np.cumsum(cvec**2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for i in range(start - 1, n):
-            ncur = i + 1
-            mc = regret_bound_side_info(mx, complete_lc, complete_sc, ncur)
-            if ref_nodes is None:
-                mr = regret_bound_plain(mx, ref_leaves, ncur)
-            else:
-                mr = regret_bound_side_info(mx, ref_leaves, ref_nodes, ncur)
-            out[i] = causality_regret_bound(mc, mr, math.sqrt(c_sq[i]))
-    return out
-
-
-def _finish_trace(
-    est, cvec, llc, llr, snaps, truth, config, schema_c, schema_r, ref_kind
-) -> CausalTrace:
-    n = est.size
+def _estimate(xs, ys, config, schema_r, keep_snapshots, truth) -> CausalTrace:
+    n = xs.size
     mx = config.alphabet_x.size
-    lc, sc = schema_c.leaf_count(), schema_c.node_count()
-    lr = schema_r.leaf_count()
+    schema_c = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, 0)
+    (est, cvec, llc, llr), snaps, stats = _dual_run(xs, ys, schema_c, schema_r, keep_snapshots)
+    lc, sc, lr = schema_c.leaf_count(), schema_c.node_count(), schema_r.leaf_count()
     sr = None if schema_r.side_alphabet is None else schema_r.node_count()
-    cum_bound = _bound_curve(n, mx, lc, sc, lr, sr, cvec)
+    first, _, _, cum_bound = bound_curve(schema_c, schema_r, cvec)
     trace = CausalTrace(
         estimate_bits=est,
         c=cvec,
@@ -227,12 +237,14 @@ def _finish_trace(
             "n": int(n),
             "alphabet_x": mx,
             "alphabet_y": config.alphabet_y.size,
-            "reference": ref_kind,
+            "reference": "restricted" if sr is None else "stale",
             "complete_leaves": lc,
             "complete_nodes": sc,
             "reference_leaves": lr,
             "reference_nodes": sr,
             "warmup": max(schema_c.total_depth, schema_r.total_depth),
+            "bound_defined_from": first if first <= n else None,
+            **stats,
             "units": "bits",
             "normalization": "cum_abs_err and cum_bound are divided by n when normalized",
         },
@@ -253,17 +265,10 @@ def estimate_causal_trace(
     """Per-step causal influence of the side stream y on the target stream x:
     complete (coupled-context) predictor against the restricted
     (target-only) predictor. Deterministic in its inputs."""
-    xs, ys = _check_streams(x, y, config)
-    schema_c = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, 0)
+    xs, ys = _check_inputs(x, y, config, truth_model)
     schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
-    est, cvec, llc, llr, snaps = _dual_run(xs, ys, schema_c, schema_r, keep_snapshots)
-    truth = None
-    if truth_model is not None:
-        _check_model(truth_model, config)
-        truth = causal_measure_path(truth_model, xs, ys)
-    return _finish_trace(
-        est, cvec, llc, llr, snaps, truth, config, schema_c, schema_r, "restricted"
-    )
+    truth = None if truth_model is None else causal_measure_path(truth_model, xs, ys)
+    return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
 
 
 def estimate_partial_trace(
@@ -281,36 +286,30 @@ def estimate_partial_trace(
     """
     if config.staleness is None:
         raise ValueError("partial trace requires a staleness in the config")
-    xs, ys = _check_streams(x, y, config)
+    xs, ys = _check_inputs(x, y, config, truth_model)
     k = config.staleness
-    schema_c = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, 0)
     if k >= xs.size:
         schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
-        ref_kind = "restricted"
     else:
         schema_r = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, k)
-        ref_kind = "stale"
-    est, cvec, llc, llr, snaps = _dual_run(xs, ys, schema_c, schema_r, keep_snapshots)
-    truth = None
-    if truth_model is not None:
-        _check_model(truth_model, config)
-        truth = partial_measure_path(truth_model, xs, ys, k)
-    return _finish_trace(
-        est, cvec, llc, llr, snaps, truth, config, schema_c, schema_r, ref_kind
-    )
+    truth = None if truth_model is None else partial_measure_path(truth_model, xs, ys, k)
+    return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
 
 
-def _check_streams(x: SymbolSeq, y: SymbolSeq, config: EstimatorConfig):
+def _check_inputs(x: SymbolSeq, y: SymbolSeq, config: EstimatorConfig, model):
+    """Every check of the streams and oracle model, once, before any step."""
     if len(x) != len(y):
         raise ValueError("target and side streams must have equal length")
     if x.alphabet != config.alphabet_x or y.alphabet != config.alphabet_y:
         raise ValueError("stream alphabets do not match the config")
-    return x.data, y.data
-
-
-def _check_model(model: JointMarkovModel, config: EstimatorConfig) -> None:
-    if model.alphabet_x != config.alphabet_x or model.alphabet_y != config.alphabet_y:
+    for seq in (x, y):
+        if seq.data.size and (seq.data.min() < 0 or seq.data.max() >= seq.alphabet.size):
+            raise ValueError("stream symbol out of alphabet range")
+    if model is not None and (
+        model.alphabet_x != config.alphabet_x or model.alphabet_y != config.alphabet_y
+    ):
         raise ValueError("oracle model alphabets do not match the config")
+    return x.data, y.data
 
 
 def c_vector(trace: CausalTrace) -> tuple[np.ndarray, float]:

@@ -117,6 +117,33 @@ class TestEstimate:
         assert run("estimate", "--x", tmp_path / "nope.csv", "--y", tmp_path / "nope.csv",
                    "--out", tmp_path / "e") == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_model_is_input_error(self, sim, tmp_path, bad):
+        data = unidirectional_model().to_json_dict()
+        text = json.dumps(data)
+        row = json.dumps(data["kernel"][0]["x_probs"])
+        probs = data["kernel"][0]["x_probs"]
+        text = text.replace(row, "[" + ", ".join([bad] + [str(p) for p in probs[1:]]) + "]", 1)
+        mpath = tmp_path / "bad_model.json"
+        mpath.write_text(text)
+        assert bad in mpath.read_text()
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv",
+                   "--model", mpath, "--out", tmp_path / "e") == 2
+
+    def test_metadata_carries_trace_metadata(self, sim, tmp_path):
+        out = tmp_path / "est4"
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv",
+                   "--d", 2, "--direction", "both", "--out", out) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        for label in ("y_to_x", "x_to_y"):
+            tm = meta["trace_metadata"][label]
+            assert tm["n"] == 400
+            assert tm["bound_defined_from"] == 81  # the complete tree's 9**2 leaves
+            assert 1 < tm["nodes_allocated"]["complete"] <= 1 + 10 + 100
+            assert 1 < tm["nodes_allocated"]["reference"] <= 1 + 4 + 16
+            assert tm["dual_run_s"] > 0
+            assert tm["dual_run_steps_per_s"] == pytest.approx(400 / tm["dual_run_s"])
+
 
 class TestBounds:
     def test_values(self, capsys, tmp_path):
@@ -146,6 +173,15 @@ class TestBounds:
         rows = (out / "bound_curve.csv").read_text().splitlines()
         assert rows[0] == "i,m_complete,m_reference,bound_bits"
         assert len(rows) == 121
+
+    @pytest.mark.parametrize("k,golden", [(None, "bound_curve_independent.csv"),
+                                          (1, "bound_curve_independent_k1.csv")])
+    def test_bound_curve_golden(self, tmp_path, k, golden):
+        out = tmp_path / "bounds"
+        extra = () if k is None else ("--k", k)
+        assert run("bounds", "--m", 3, "--d", 1, "--n", 120, *extra,
+                   "--trace", DATA / "trace_independent_y_to_x.csv", "--out", out) == 0
+        assert (out / "bound_curve.csv").read_bytes() == (DATA / "golden" / golden).read_bytes()
 
 
 class TestDsep:
@@ -214,6 +250,11 @@ class TestStocks:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["tie_rule"].startswith("exact threshold")
         assert "interpolation" in meta["alignment"]
+        assert sorted(meta["trace_metadata"]) == ["a_to_b", "b_to_a"]
+        for tm in meta["trace_metadata"].values():
+            assert tm["bound_defined_from"] == 9
+            assert tm["nodes_allocated"]["complete"] > 1
+            assert tm["dual_run_steps_per_s"] > 0
 
 
 class TestOutputDir:

@@ -124,6 +124,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             dist(B2, [-0.1, 1.1])
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[math.nan, 1.0], [0.5, math.nan], [math.inf, 1.0], [-math.inf, 1.0], [math.nan, math.nan]],
+    )
+    def test_probdist_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError):
+            dist(B2, probs)
+
     def test_zero_entry_log_is_explicit(self):
         p = dist(B2, [1.0, 0.0])
         with pytest.raises(ZeroProbabilityError):

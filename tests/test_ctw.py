@@ -1,11 +1,13 @@
 import io
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causalpath.core import Alphabet
+from causalpath import measure
+from causalpath.core import Alphabet, SymbolSeq
 from causalpath.ctw import (
     ContextSchema,
     ContextTree,
@@ -15,9 +17,35 @@ from causalpath.ctw import (
     regret_bound_side_info,
 )
 from causalpath.markov import random_model, simulate
+from causalpath.measure import EstimatorConfig, estimate_causal_trace
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# name: (target alphabet, side alphabet, depth, staleness, seed, stream length)
+GOLDEN_TREES = {
+    "ctw_plain_b3_d0": (B3, None, 0, 0, 21, 50),
+    "ctw_plain_b2_d3": (B2, None, 3, 0, 22, 200),
+    "ctw_coupled_b3_d1": (B3, B3, 1, 0, 23, 200),
+    "ctw_coupled_b3_d2": (B3, B3, 2, 0, 24, 120),
+    "ctw_stale_b2_d1_k2": (B2, B2, 1, 2, 25, 200),
+}
+
+
+def seeded_tree(name):
+    """Tree fed a seeded skewed target stream through the per-context API."""
+    ax, ay, d, k, seed, n = GOLDEN_TREES[name]
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, ax.size + 1) / (ax.size * (ax.size + 1) / 2)
+    x = rng.choice(ax.size, size=n, p=weights)
+    y = None if ay is None else rng.integers(0, ay.size, n)
+    sch = ContextSchema(ax, ay, d, k)
+    tree = ContextTree(sch)
+    for i in range(n):
+        tree.observe(sch.context_at(x, i, y), int(x[i]))
+    return tree
 
 
 class TestKT:
@@ -316,3 +344,125 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             ContextTree.load(io.StringIO("nonsense 9\n"))
+
+
+def reference_schemas(ax, d):
+    """(complete, reference) schema pairs: coupled against plain and stale."""
+    return [
+        (ContextSchema(ax, ax, d, 0), ContextSchema(ax, None, d, 0)),
+        (ContextSchema(ax, ax, d, 0), ContextSchema(ax, ax, d, 1)),
+    ]
+
+
+class TestEngineAgreement:
+    """The fused key-path dual run, the per-context API and the recursive
+    definition of the weighted block probability give the same predictions."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_three_paths_agree(self, m, d):
+        ax = Alphabet(m)
+        rng = np.random.default_rng(100 * m + d)
+        n = 24
+        x = rng.integers(0, m, n)
+        y = rng.integers(0, m, n)
+        for schema_c, schema_r in reference_schemas(ax, d):
+            _, snaps, _ = measure._dual_run(x, y, schema_c, schema_r, keep_snapshots=True)
+            for schema, snap in zip((schema_c, schema_r), snaps):
+                tree = ContextTree(schema)
+                obs = []
+                for i in range(n):
+                    ctx = schema.context_at(x, i, y)
+                    got = tree.predict(ctx).probs
+                    assert np.max(np.abs(got - snap[i])) <= 1e-12
+                    if i % 3 == 0 or i == n - 1:
+                        ref = [
+                            reference_predictive(obs, schema.total_depth, m, ctx, a)
+                            for a in range(m)
+                        ]
+                        assert np.max(np.abs(got - ref)) <= 1e-12
+                    tree.observe(ctx, int(x[i]))
+                    obs.append((ctx, int(x[i])))
+
+    def test_key_paths_by_blocks_match_per_context_keys(self):
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 3, 50)
+        y = rng.integers(0, 3, 50)
+        for schema in (
+            ContextSchema(B3, None, 3),
+            ContextSchema(B3, B3, 2),
+            ContextSchema(B3, B3, 1, 2),
+        ):
+            full = schema.key_paths(x, y)
+            blocks = [schema.key_paths(x, y, lo, min(lo + 7, 50)) for lo in range(0, 50, 7)]
+            assert np.array_equal(np.vstack(blocks), full)
+            tree = ContextTree(schema)
+            for i in range(50):
+                assert full[i].tolist() == tree._context_keys(schema.context_at(x, i, y))
+
+    def test_key_space_beyond_int64(self):
+        # radix 10 over 20 coupled levels: keys reach 10**20
+        schema = ContextSchema(B3, B3, depth=20)
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 3, 40)
+        y = rng.integers(0, 3, 40)
+        keys = schema.key_paths(x, y)
+        assert keys.dtype == object and max(keys[-1]) > 2**63
+        _, (snap, _), _ = measure._dual_run(
+            x, y, schema, ContextSchema(B3, None, 1), keep_snapshots=True
+        )
+        tree = ContextTree(schema)
+        for i in range(40):
+            ctx = schema.context_at(x, i, y)
+            assert np.max(np.abs(tree.predict(ctx).probs - snap[i])) <= 1e-12
+            tree.observe(ctx, int(x[i]))
+
+
+class TestFlatStorage:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+    def test_dump_matches_golden(self, name):
+        buf = io.StringIO()
+        seeded_tree(name).dump(buf)
+        assert buf.getvalue() == (GOLDEN / f"{name}.txt").read_text()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+    def test_load_replays_golden(self, name):
+        text = (GOLDEN / f"{name}.txt").read_text()
+        tree = ContextTree.load(io.StringIO(text))
+        tree.validate()
+        buf = io.StringIO()
+        tree.dump(buf)
+        assert buf.getvalue() == text
+        assert tree.log2_block_probability == pytest.approx(
+            seeded_tree(name).log2_block_probability, abs=1e-9
+        )
+
+    def test_load_rejects_inconsistent_counts(self):
+        text = "causalpath-ctw 1 2 - 1 0\n|3,1\n1|1,0\n0|1,1\n"
+        with pytest.raises(ValueError):
+            ContextTree.load(io.StringIO(text))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+    def test_node_count_is_visited_prefixes(self, name):
+        ax, ay, d, k, seed, n = GOLDEN_TREES[name]
+        tree = seeded_tree(name)
+        rng = np.random.default_rng(seed)
+        weights = np.arange(1, ax.size + 1) / (ax.size * (ax.size + 1) / 2)
+        x = rng.choice(ax.size, size=n, p=weights)
+        y = None if ay is None else rng.integers(0, ay.size, n)
+        prefixes = {
+            tree.schema.context_at(x, i, y)[:j]
+            for i in range(n)
+            for j in range(tree.schema.total_depth + 1)
+        }
+        assert sum(1 for _ in tree.nodes()) == len(prefixes) == tree.nodes_allocated
+
+    def test_out_of_range_symbol_rejected_at_boundary(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(measure, "ContextTree", lambda schema: built.append(schema))
+        x = SymbolSeq(B3, np.array([0, 1, 2, 1, 0]))
+        y = SymbolSeq(B3, np.array([1, 1, 0, 2, 2]))
+        x.data[3] = 3  # corrupted after construction
+        with pytest.raises(ValueError, match="out of alphabet"):
+            estimate_causal_trace(x, y, EstimatorConfig(B3, B3, depth=1))
+        assert built == []

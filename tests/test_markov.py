@@ -434,6 +434,22 @@ class TestModelIO:
                 assert np.allclose(s.kernel_x[ws], m.kernel_y[w])
                 assert np.allclose(s.kernel_y[ws], m.kernel_x[w])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        kx = np.full((4, 2), 0.5)
+        ky = np.full((4, 2), 0.5)
+        kx[2, 0] = bad
+        with pytest.raises(ValueError):
+            JointMarkovModel(1, B2, B2, kx, ky)
+        with pytest.raises(ValueError):
+            JointMarkovModel(1, B2, B2, ky, kx)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        k = np.full((4, 2), 0.5)
+        with pytest.raises(ValueError):
+            JointMarkovModel(1, B2, B2, k, k, initial=[bad, 0.5, 0.25, 0.25])
+
     def test_incomplete_file_rejected(self, tmp_path):
         m = random_model(1, 2, 2, np.random.default_rng(82))
         data = m.to_json_dict()

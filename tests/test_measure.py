@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import warnings
+
 from causalpath.core import Alphabet
+from causalpath.ctw import ContextSchema
 from causalpath.markov import exact_pdi_rate, mc_di_rate, simulate
 from causalpath.measure import (
     CausalTrace,
     EstimatorConfig,
     abs_log_ratio_sum,
+    bound_curve,
     c_vector,
     causality_regret_bound,
     estimate_causal_trace,
@@ -203,6 +207,55 @@ class TestBoundPieces:
         defined = trace.cum_bound[~np.isnan(trace.cum_bound)]
         assert np.all(np.diff(defined) >= -1e-9)
         assert np.isnan(trace.cum_bound[0])  # horizon below the leaf count
+
+
+class TestBoundCurve:
+    GEOMETRIES = [(m, d, k) for m in (2, 3) for d in (1, 2, 3) for k in (None, 1, 2)]
+
+    @staticmethod
+    def schemas(m, d, k):
+        a = Alphabet(m)
+        ref = ContextSchema(a, None, d, 0) if k is None else ContextSchema(a, a, d, k)
+        return ContextSchema(a, a, d, 0), ref
+
+    @pytest.mark.parametrize("m,d,k", GEOMETRIES)
+    def test_premise_holds_wherever_defined(self, m, d, k):
+        complete, ref = self.schemas(m, d, k)
+        lc, sc = complete.leaf_count(), complete.node_count()
+        cvec = np.random.default_rng(m * d).random(max(lc, ref.leaf_count()) + 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, mc, mr, bound = bound_curve(complete, ref, cvec)
+        assert first == max(lc, ref.leaf_count())
+        assert np.all(np.isnan(bound[: first - 1])) and not np.any(np.isnan(bound[first - 1 :]))
+        assert np.all(mc[first - 1 :] >= lc * (m - 1) + sc)
+        assert lc * (m - 1) + sc > 1
+
+    @pytest.mark.parametrize("m,d,k", GEOMETRIES)
+    def test_matches_per_step_formulas(self, m, d, k):
+        complete, ref = self.schemas(m, d, k)
+        lc, sc, lr = complete.leaf_count(), complete.node_count(), ref.leaf_count()
+        cvec = np.random.default_rng(7 + m * d).random(max(lc, lr) + 2000)
+        first, _, _, bound = bound_curve(complete, ref, cvec)
+        c_sq = np.cumsum(cvec**2)
+        for i in range(first, cvec.size + 1, 97):
+            mc = 0.5 * (m - 1) * lc * math.log2(i / lc) + lc * (m - 1) + sc
+            mr = 0.5 * (m - 1) * lr * math.log2(i / lr)
+            if k is None:
+                mr += lr * (m / (m - 1) + math.log2(m)) - 1.0 / (m - 1)
+            else:
+                mr += lr * (m - 1) + ref.node_count()
+            want = mc + mr + math.sqrt(c_sq[i - 1]) / math.sqrt(2.0) * math.sqrt(mc)
+            assert abs(bound[i - 1] - want) <= 1e-12 * max(1.0, want)
+
+    def test_trace_records_first_defined_step(self):
+        m = unidirectional_model()
+        x, y = simulate(m, 50, seed=18)
+        trace = estimate_causal_trace(x, y, ternary_config(depth=1))
+        assert trace.metadata["bound_defined_from"] == 9
+        assert np.isnan(trace.cum_bound[7]) and not np.isnan(trace.cum_bound[8])
+        short = estimate_causal_trace(x[:5], y[:5], ternary_config(depth=1))
+        assert short.metadata["bound_defined_from"] is None
 
 
 class TestRealizedRegret:

@@ -145,11 +145,13 @@ def _direction_runs(args, x: SymbolSeq, y: SymbolSeq, model):
 
 def cmd_estimate(args) -> int:
     outdir = _outdir(args)
-    ax = Alphabet(args.alphabet_x) if args.alphabet_x else None
-    ay = Alphabet(args.alphabet_y) if args.alphabet_y else None
+    model = JointMarkovModel.load(args.model) if args.model else None
+    # an oracle model fixes the alphabets, which a short stream may not use in full
+    ax, ay = (model.alphabet_x, model.alphabet_y) if model else (None, None)
+    ax = Alphabet(args.alphabet_x) if args.alphabet_x else ax
+    ay = Alphabet(args.alphabet_y) if args.alphabet_y else ay
     x = read_symbol_csv(args.x, ax)
     y = read_symbol_csv(args.y, ay)
-    model = JointMarkovModel.load(args.model) if args.model else None
     written = []
     trace_meta = {}
     for label, target, side, truth in _direction_runs(args, x, y, model):
@@ -420,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction", choices=("yx", "xy", "both"), default="both",
         help="yx estimates the influence of y on x",
     )
-    p.add_argument("--alphabet-x", type=int, help="override inferred target alphabet")
-    p.add_argument("--alphabet-y", type=int, help="override inferred side alphabet")
+    p.add_argument("--alphabet-x", type=int,
+                   help="target alphabet size (default: the model's, else inferred)")
+    p.add_argument("--alphabet-y", type=int,
+                   help="side alphabet size (default: the model's, else inferred)")
     add_out(p)
     p.set_defaults(func=cmd_estimate)
 

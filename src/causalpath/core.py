@@ -116,8 +116,14 @@ def kl_divergence(p: ProbDist, q: ProbDist) -> float:
     Raises AbsoluteContinuityError when p(x) > 0 while q(x) = 0.
     """
     _check_same_alphabet(p, q)
+    return _kl_bits(p.probs, q.probs)
+
+
+def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
+    """D(p || q) in bits between two probability arrays of equal length;
+    the per-step form of kl_divergence, without building ProbDists."""
     total = 0.0
-    for pa, qa in zip(p.probs, q.probs):
+    for pa, qa in zip(p.tolist(), q.tolist()):
         if pa == 0.0:
             continue
         if qa == 0.0:

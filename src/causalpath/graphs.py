@@ -26,14 +26,13 @@ instances only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .markov import JointMarkovModel, _extended_window_dist
+from .markov import JointMarkovModel, _cmi_table, _extended_window_dist, _next_symbol_cmi
 
 EDGE_MI_THRESHOLD = 1e-9
 
@@ -69,53 +68,22 @@ class UnrolledDag:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _cmi_table(joint: np.ndarray) -> float:
-    """Conditional MI (bits) from a (A, B, C) probability table."""
-    jab_c = joint
-    jc = joint.sum(axis=(0, 1))
-    jac = joint.sum(axis=1)
-    jbc = joint.sum(axis=0)
-    terms = []
-    for ia, ib, ic in np.argwhere(jab_c > 0.0):
-        v = jab_c[ia, ib, ic]
-        terms.append(v * math.log2(v * jc[ic] / (jac[ia, ic] * jbc[ib, ic])))
-    return max(math.fsum(terms), 0.0)
-
-
 def _interior_edge_tests(model: JointMarkovModel) -> dict[tuple[str, str, int], float]:
     """Exact lagged conditional MI for every candidate edge type at an
-    interior time, keyed by (source process, target process, lag)."""
-    d, B = model.order, model.pair_count
-    mx, my = model.mx, model.my
+    interior time, keyed by (source process, target process, lag): the
+    source digit against the next target symbol, given every other digit of
+    the stationary window."""
+    d = model.order
     pi = _extended_window_dist(model, d)
-    wins = np.arange(B**d)
+    digits = [(proc, age) for age in range(d) for proc in ("X", "Y")]
     out: dict[tuple[str, str, int], float] = {}
-    for dst, kernel, mdst in (("X", model.kernel_x, mx), ("Y", model.kernel_y, my)):
+    for dst, kernel in (("X", model.kernel_x), ("Y", model.kernel_y)):
         gamma = pi[:, None] * kernel  # joint over (window, next dst symbol)
         for lag in range(1, d + 1):
-            pair = (wins // B ** (lag - 1)) % B
-            for src, coord, msrc in (("X", pair % mx, mx), ("Y", pair // mx, my)):
-                # condition on every other window coordinate
-                other = np.zeros(B**d, dtype=np.int64)
-                mult = 1
-                for j in range(d):
-                    pj = (wins // B**j) % B
-                    if j == lag - 1:
-                        xj = pj % mx
-                        yj = pj // mx
-                        keep = yj if src == "X" else xj
-                        keep_m = my if src == "X" else mx
-                        other += keep * mult
-                        mult *= keep_m
-                    else:
-                        other += pj * mult
-                        mult *= B
-                joint = np.zeros((msrc, mdst, mult))
-                src_ax = np.repeat(coord, mdst)
-                dst_ax = np.tile(np.arange(mdst), B**d)
-                oth_ax = np.repeat(other, mdst)
-                np.add.at(joint, (src_ax, dst_ax, oth_ax), gamma.ravel())
-                out[(src, dst, lag)] = _cmi_table(joint)
+            for src in ("X", "Y"):
+                side = (src, lag - 1)
+                cond = [g for g in digits if g != side]
+                out[(src, dst, lag)] = _next_symbol_cmi(model, gamma, [side], cond)
     return out
 
 

@@ -16,9 +16,11 @@ module provides:
   whole-path variants;
 - stationary analysis of the lifted window chain with explicit ergodicity
   detection;
-- exact partial/truncated directed-information rates by finite-window
-  enumeration, a Monte Carlo directed-information rate with batch-means
-  standard errors, and exact finite-horizon enumeration identities.
+- exact partial/truncated directed-information rates, both conditional
+  mutual informations of one stationary (window, next symbol) table, a Monte
+  Carlo directed-information rate (the mean of the causal-measure path) with
+  batch-means standard errors, and exact finite-horizon enumeration
+  identities.
 
 Window encoding: a window of pairs is an integer in base B = m_x * m_y with
 the most recent pair in the lowest digit; a pair packs as x + m_x * y. Model
@@ -34,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Alphabet, ProbDist, SymbolSeq, kl_divergence
+from .core import Alphabet, ProbDist, SymbolSeq, _kl_bits, kl_divergence
 
 _BRUTE_PATH_LIMIT = 2_000_000
 
@@ -119,6 +121,8 @@ class JointMarkovModel:
         yw = _as_array(y_window)
         if len(xw) != self.order or len(yw) != self.order:
             raise ValueError(f"window length must equal order {self.order}")
+        if np.any((xw < 0) | (xw >= self.mx)) or np.any((yw < 0) | (yw >= self.my)):
+            raise ValueError("window symbol out of alphabet range")
         idx = 0
         for j in range(self.order):
             # most recent pair in the lowest digit
@@ -219,21 +223,30 @@ class JointMarkovModel:
             np.full((nwin, ax.size), 1.0 / ax.size),
             np.full((nwin, ay.size), 1.0 / ay.size),
         )
+
+        def windows(section: str) -> list:
+            seen = {}
+            for row in data[section]:
+                w = probe.window_index(row["x_window"], row["y_window"])
+                if seen.setdefault(w, row) is not row:
+                    raise ValueError(
+                        f"{section} lists window x={row['x_window']}, y={row['y_window']} twice"
+                    )
+            return list(seen.items())
+
         kx = np.empty((nwin, ax.size))
         ky = np.empty((nwin, ay.size))
-        covered = set()
-        for row in data["kernel"]:
-            w = probe.window_index(row["x_window"], row["y_window"])
+        rows = windows("kernel")
+        for w, row in rows:
             kx[w] = row["x_probs"]
             ky[w] = row["y_probs"]
-            covered.add(w)
-        if len(covered) != nwin:
+        if len(rows) != nwin:
             raise ValueError("model file does not cover every window")
         init = None
         if "initial" in data:
             init = np.zeros(nwin)
-            for row in data["initial"]:
-                init[probe.window_index(row["x_window"], row["y_window"])] = row["prob"]
+            for w, row in windows("initial"):
+                init[w] = row["prob"]
         return cls(order, ax, ay, kx, ky, init)
 
     def swapped(self) -> "JointMarkovModel":
@@ -242,13 +255,11 @@ class JointMarkovModel:
         kx = np.empty((nwin, self.my))
         ky = np.empty((nwin, self.mx))
         init = np.empty(nwin) if self.has_custom_initial else None
-        perm = np.empty(nwin, dtype=np.int64)
-        for w in range(nwin):
-            xw, yw = self.decode_window(w)
-            swapped_w = 0
-            for j in range(self.order):
-                swapped_w += (int(yw[-1 - j]) + self.my * int(xw[-1 - j])) * self.pair_count**j
-            perm[w] = swapped_w
+        perm = np.zeros(nwin, dtype=np.int64)
+        for t in range(self.order):  # oldest pair first, so it ends in the top digit
+            perm = perm * self.pair_count + (
+                self.window_y_positions[t] + self.my * self.window_x_positions[t]
+            )
         kx[perm] = self.kernel_y
         ky[perm] = self.kernel_x
         if init is not None:
@@ -348,7 +359,6 @@ class RestrictedFilter:
             yd = (ycodes // my**j) % my
             widx += (xd[:, None] + mx * yd[None, :]) * model.pair_count**j
         self._pairidx = widx
-        self._y_rem = ycodes % my ** (d - 1)
 
     def predict(self) -> ProbDist:
         m = self.model
@@ -390,13 +400,9 @@ class RestrictedFilter:
             return
         widx = self._pairidx[self._xwin]
         contrib = self._beta * m.kernel_x[widx, sym]
-        new_beta = np.zeros(my**d)
-        for y_new in range(my):
-            np.add.at(
-                new_beta,
-                y_new + my * self._y_rem,
-                contrib * m.kernel_y[widx, y_new],
-            )
+        # y-code c = r + my**(d-1) * oldest moves to y_new + my * r: flat index
+        # c * my + y_new, reshaped to (oldest, r * my + y_new), sums the oldest out
+        new_beta = (contrib[:, None] * m.kernel_y[widx]).reshape(my, -1).sum(axis=0)
         total = new_beta.sum()
         if total <= 0.0:
             raise ValueError("model cannot produce the observed sequence")
@@ -435,31 +441,7 @@ def stale_history_dist(model: JointMarkovModel, x_hist, y_hist) -> ProbDist:
         if total <= 0.0:
             raise ValueError("history has zero probability under the model")
         return ProbDist(m.alphabet_x, probs / total)
-    hidden = i1 - s
-    paths = m.my**hidden
-    if paths > _BRUTE_PATH_LIMIT:
-        raise ValueError(
-            f"brute-force enumeration of {paths} hidden paths exceeds the limit"
-        )
-    codes = np.arange(paths)
-    yfull = np.empty((paths, i1), dtype=np.int64)
-    yfull[:, :s] = ys
-    for j in range(hidden):
-        yfull[:, s + j] = (codes // m.my**j) % m.my
-    widx = np.zeros(paths, dtype=np.int64)
-    for j in range(d):
-        widx += (xs[d - 1 - j] + m.mx * yfull[:, d - 1 - j]) * m.pair_count**j
-    weights = m.initial[widx].copy()
-    for t in range(d, i1):
-        weights *= m.kernel_x[widx, xs[t]] * m.kernel_y[widx, yfull[:, t]]
-        widx = m.pair_count * (widx % m.pair_count ** (d - 1)) + (
-            xs[t] + m.mx * yfull[:, t]
-        )
-    probs = weights @ m.kernel_x[widx]
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("history has zero probability under the model")
-    return ProbDist(m.alphabet_x, probs / total)
+    return _hidden_side_dist(m, xs, ys, from_initial=True)
 
 
 def true_restricted_brute(model: JointMarkovModel, x_hist) -> ProbDist:
@@ -486,26 +468,51 @@ def true_partial_dist(model: JointMarkovModel, x_window, y_window, k: int) -> Pr
         raise ValueError(
             f"need x window of length d+k={d + k} and y window of length d={d}"
         )
-    paths = m.my**k
-    codes = np.arange(paths)
-    yfull = np.empty((paths, d + k), dtype=np.int64)
-    yfull[:, :d] = ys
-    for j in range(k):
-        yfull[:, d + j] = (codes // m.my**j) % m.my
-    widx = np.zeros(paths, dtype=np.int64)
+    return _hidden_side_dist(m, xs, ys, from_initial=False)
+
+
+def _path_weights(model: JointMarkovModel, xdig, ydig, from_initial: bool):
+    """Probability weights of joint paths given as (paths, t) x and y digit
+    arrays (oldest first; a row of one broadcasts), with the code of each
+    path's last window.
+
+    A path's weight starts at the initial law of its first window
+    (`from_initial`) or at 1 when that window is conditioned on, and takes
+    one Kx * Ky factor per later step.
+    """
+    d, B = model.order, model.pair_count
+    pairs = xdig + model.mx * ydig
+    widx = np.zeros(pairs.shape[0], dtype=np.int64)
     for j in range(d):
-        widx += (xs[d - 1 - j] + m.mx * yfull[:, d - 1 - j]) * m.pair_count**j
-    weights = np.ones(paths)
-    for t in range(d, d + k):
-        weights *= m.kernel_x[widx, xs[t]] * m.kernel_y[widx, yfull[:, t]]
-        widx = m.pair_count * (widx % m.pair_count ** (d - 1)) + (
-            xs[t] + m.mx * yfull[:, t]
+        widx += pairs[:, d - 1 - j] * B**j
+    weights = model.initial[widx].copy() if from_initial else np.ones(widx.size)
+    for t in range(d, pairs.shape[1]):
+        weights *= model.kernel_x[widx, xdig[:, t]] * model.kernel_y[widx, ydig[:, t]]
+        widx = B * (widx % B ** (d - 1)) + pairs[:, t]
+    return weights, widx
+
+
+def _hidden_side_dist(model: JointMarkovModel, xs, ys, from_initial: bool) -> ProbDist:
+    """p(next X | xs, side prefix ys): every completion of ys to len(xs) side
+    symbols is enumerated and weighted by _path_weights."""
+    my, s = model.my, len(ys)
+    hidden = len(xs) - s
+    paths = my**hidden
+    if paths > _BRUTE_PATH_LIMIT:
+        raise ValueError(
+            f"brute-force enumeration of {paths} hidden paths exceeds the limit"
         )
-    probs = weights @ m.kernel_x[widx]
+    codes = np.arange(paths)
+    yfull = np.empty((paths, len(xs)), dtype=np.int64)
+    yfull[:, :s] = ys
+    for j in range(hidden):
+        yfull[:, s + j] = (codes // my**j) % my
+    weights, widx = _path_weights(model, xs[None, :], yfull, from_initial)
+    probs = weights @ model.kernel_x[widx]
     total = probs.sum()
     if total <= 0.0:
-        raise ValueError("window has zero probability under the model")
-    return ProbDist(m.alphabet_x, probs / total)
+        raise ValueError("history has zero probability under the model")
+    return ProbDist(model.alphabet_x, probs / total)
 
 
 # -- causal measures ---------------------------------------------------------------
@@ -541,39 +548,48 @@ def true_partial_causal_measure(
     return kl_divergence(complete, partial)
 
 
+def _path_pair(model: JointMarkovModel, x_hist, y_hist):
+    """The two realized paths as arrays, checked once for equal length and
+    alphabet range."""
+    xs, ys = _as_array(x_hist), _as_array(y_hist)
+    if len(xs) != len(ys):
+        raise ValueError("histories must have equal length")
+    for seq, m in ((xs, model.mx), (ys, model.my)):
+        if seq.size and (seq.min() < 0 or seq.max() >= m):
+            raise ValueError("symbol out of alphabet")
+    return xs, ys
+
+
+def _complete_rows(model: JointMarkovModel, xs, ys):
+    """The complete law of X at every step as an array: the initial-window
+    conditional while i < d, then the kernel row of the last d pairs."""
+    widx = 0
+    for i in range(len(xs)):
+        if i < model.order:
+            yield stale_history_dist(model, xs[:i], ys[:i]).probs
+        else:
+            yield model.kernel_x[widx]
+        widx = model.shift_window(widx, model.pair_index(xs[i], ys[i]))
+
+
 def causal_measure_path(model: JointMarkovModel, x_hist, y_hist) -> np.ndarray:
     """True causal measure at every time step of a realized pair of paths."""
-    xs, ys = _as_array(x_hist), _as_array(y_hist)
-    n, d = len(xs), model.order
-    out = np.empty(n)
+    xs, ys = _path_pair(model, x_hist, y_hist)
+    out = np.empty(len(xs))
     filt = RestrictedFilter(model)
-    widx = None
-    for i in range(n):
-        if i < d:
-            complete = stale_history_dist(model, xs[:i], ys[:i])
-        else:
-            complete = ProbDist(model.alphabet_x, model.kernel_x[widx])
-        out[i] = kl_divergence(complete, filt.predict())
-        filt.observe(int(xs[i]))
-        if i + 1 >= d:
-            widx = model.window_index(xs[i + 1 - d : i + 1], ys[i + 1 - d : i + 1])
+    for i, complete in enumerate(_complete_rows(model, xs, ys)):
+        out[i] = _kl_bits(complete, filt.predict().probs)
+        filt.observe(xs[i])
     return out
 
 
 def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.ndarray:
     """True partial causal measure (staleness k) at every time step."""
-    xs, ys = _as_array(x_hist), _as_array(y_hist)
-    n, d = len(xs), model.order
-    out = np.empty(n)
+    xs, ys = _path_pair(model, x_hist, y_hist)
+    d = model.order
+    out = np.empty(len(xs))
     cache: dict = {}
-    for i in range(n):
-        if i < d:
-            complete = stale_history_dist(model, xs[:i], ys[:i])
-        else:
-            complete = ProbDist(
-                model.alphabet_x,
-                model.kernel_x[model.window_index(xs[i - d : i], ys[i - d : i])],
-            )
+    for i, complete in enumerate(_complete_rows(model, xs, ys)):
         if i < d + k:
             partial = stale_history_dist(model, xs[:i], ys[: max(0, i - k)])
         else:
@@ -584,7 +600,7 @@ def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.
                     model, xs[i - d - k : i], ys[i - d - k : i - k], k
                 )
                 cache[key] = partial
-        out[i] = kl_divergence(complete, partial)
+        out[i] = _kl_bits(complete, partial.probs)
     return out
 
 
@@ -687,29 +703,58 @@ def _extended_window_dist(model: JointMarkovModel, length: int) -> np.ndarray:
 # -- information rates ----------------------------------------------------------------
 
 
+def _cmi_table(joint: np.ndarray) -> float:
+    """Conditional MI I(A ; B | C) in bits from an (A, B, C) probability table."""
+    jc = joint.sum(axis=(0, 1))
+    jac = joint.sum(axis=1)
+    jbc = joint.sum(axis=0)
+    ia, ib, ic = np.nonzero(joint > 0.0)
+    v = joint[ia, ib, ic]
+    terms = v * np.log2(v * jc[ic] / (jac[ia, ic] * jbc[ib, ic]))
+    return max(math.fsum(terms), 0.0)
+
+
+def _next_symbol_cmi(model: JointMarkovModel, gamma: np.ndarray, side, cond) -> float:
+    """I(next symbol ; side | cond) in bits from gamma, the joint law of a pair
+    window (rows, most recent pair in the lowest digit) and the next symbol
+    (columns). `side` and `cond` list window digits as (process, age), the
+    process "X" or "Y" and age 0 the most recent pair."""
+    B, mx = model.pair_count, model.mx
+    wins = np.arange(gamma.shape[0])
+
+    def code(digits):
+        out, size = np.zeros(wins.size, dtype=np.int64), 1
+        for proc, age in digits:
+            pair = (wins // B**age) % B
+            out += (pair % mx if proc == "X" else pair // mx) * size
+            size *= mx if proc == "X" else model.my
+        return out, size
+
+    (sc, ns), (cc, nc) = code(side), code(cond)
+    m = gamma.shape[1]
+    flat = (sc[:, None] * m + np.arange(m)) * nc + cc[:, None]
+    joint = np.bincount(flat.ravel(), weights=gamma.ravel(), minlength=ns * m * nc)
+    return _cmi_table(joint.reshape(ns, m, nc))
+
+
+def _next_x_law(model: JointMarkovModel, length: int) -> np.ndarray:
+    """Stationary joint law of a length-`length` pair window and the next X."""
+    pi_ext = _extended_window_dist(model, length)
+    return pi_ext[:, None] * model.kernel_x[np.arange(pi_ext.size) % model.num_windows]
+
+
 def exact_pdi_rate(model: JointMarkovModel, k: int) -> float:
     """Exact partial directed-information rate (bits/step) at staleness k:
-    the stationary expectation of KL(complete || partial)."""
+    the stationary expectation of KL(complete || partial), which is the
+    conditional mutual information between the next target symbol and the k
+    newest side symbols given all d+k target symbols and the d oldest side
+    symbols of the window."""
     if k < 1:
         raise ValueError("staleness k must be >= 1")
-    d, B = model.order, model.pair_count
-    D = d + k
-    pi_ext = _extended_window_dist(model, D)
-    terms = []
-    for w in range(B**D):
-        p = pi_ext[w]
-        if p <= 0.0:
-            continue
-        xs = np.empty(D, dtype=np.int64)
-        ys = np.empty(D, dtype=np.int64)
-        for j in range(D):
-            pair = (w // B**j) % B
-            xs[D - 1 - j] = pair % model.mx
-            ys[D - 1 - j] = pair // model.mx
-        complete = ProbDist(model.alphabet_x, model.kernel_x[w % B**d])
-        partial = true_partial_dist(model, xs, ys[:d], k)
-        terms.append(p * kl_divergence(complete, partial))
-    return max(math.fsum(terms), 0.0)
+    D = model.order + k
+    side = [("Y", age) for age in range(k)]
+    cond = [("X", age) for age in range(D)] + [("Y", age) for age in range(k, D)]
+    return _next_symbol_cmi(model, _next_x_law(model, D), side, cond)
 
 
 def exact_tdi_rate(model: JointMarkovModel, k: int) -> float:
@@ -721,29 +766,9 @@ def exact_tdi_rate(model: JointMarkovModel, k: int) -> float:
     """
     if k < 1:
         raise ValueError("window k must be >= 1")
-    d, B = model.order, model.pair_count
-    wlen = max(d, k)
-    pi_ext = _extended_window_dist(model, wlen)
-    wins = np.arange(B**wlen)
-    gamma = pi_ext[:, None] * model.kernel_x[wins % B**d]
-    xk = np.zeros(B**wlen, dtype=np.int64)
-    yk = np.zeros(B**wlen, dtype=np.int64)
-    for j in range(k):
-        pair = (wins // B**j) % B
-        xk += (pair % model.mx) * model.mx**j
-        yk += (pair // model.mx) * model.my**j
-    nx, ny = model.mx**k, model.my**k
-    J = np.zeros((nx, ny, model.mx))
-    np.add.at(J, (xk, yk), gamma)
-    Jxy = J.sum(axis=2)
-    Jxa = J.sum(axis=1)
-    Jx = Jxy.sum(axis=1)
-    terms = []
-    nz = np.argwhere(J > 0.0)
-    for ix, iy, a in nz:
-        v = J[ix, iy, a]
-        terms.append(v * math.log2(v * Jx[ix] / (Jxy[ix, iy] * Jxa[ix, a])))
-    return max(math.fsum(terms), 0.0)
+    side = [("Y", age) for age in range(k)]
+    cond = [("X", age) for age in range(k)]
+    return _next_symbol_cmi(model, _next_x_law(model, max(model.order, k)), side, cond)
 
 
 @dataclass(frozen=True)
@@ -765,25 +790,7 @@ def mc_di_rate(
     if n < d + 2 * batches:
         raise ValueError("n too small for the requested number of batches")
     x, y = simulate(model, n, seed)
-    xs, ys = x.data, y.data
-    filt = RestrictedFilter(model)
-    for t in range(d):
-        filt.observe(int(xs[t]))
-    widx = model.window_index(xs[:d], ys[:d])
-    kx = model.kernel_x
-    log2 = math.log2
-    vals = np.empty(n - d)
-    for t in range(d, n):
-        row = kx[widx]
-        rest = filt.predict().probs
-        acc = 0.0
-        for a in range(model.mx):
-            pa = row[a]
-            if pa > 0.0:
-                acc += pa * log2(pa / rest[a])
-        vals[t - d] = max(acc, 0.0)
-        filt.observe(int(xs[t]))
-        widx = model.shift_window(widx, model.pair_index(int(xs[t]), int(ys[t])))
+    vals = causal_measure_path(model, x, y)[d:]
     steps = vals.size
     per_batch = steps // batches
     means = vals[: per_batch * batches].reshape(batches, per_batch).mean(axis=1)
@@ -800,7 +807,7 @@ def _path_table(model: JointMarkovModel, n: int):
     Path codes are time-major with the most recent step in the lowest digit,
     so the length-j prefix of a path is its code divided by B**(n-j).
     """
-    d, B = model.order, model.pair_count
+    B = model.pair_count
     if B**n > _BRUTE_PATH_LIMIT:
         raise ValueError("horizon too large for exact enumeration")
     codes = np.arange(B**n)
@@ -809,13 +816,7 @@ def _path_table(model: JointMarkovModel, n: int):
         pairs[:, t] = (codes // B ** (n - 1 - t)) % B
     xdig = pairs % model.mx
     ydig = pairs // model.mx
-    widx = np.zeros(B**n, dtype=np.int64)
-    for j in range(d):
-        widx += pairs[:, d - 1 - j] * B**j
-    prob = model.initial[widx].copy()
-    for t in range(d, n):
-        prob *= model.kernel_x[widx, xdig[:, t]] * model.kernel_y[widx, ydig[:, t]]
-        widx = B * (widx % B ** (d - 1)) + pairs[:, t]
+    prob, _ = _path_weights(model, xdig, ydig, from_initial=True)
     return prob, pairs, xdig, ydig
 
 
@@ -895,18 +896,11 @@ def expected_causal_sum(model: JointMarkovModel, n: int) -> float:
         hx_digits = np.zeros(B**t, dtype=np.int64)
         for u in range(t):
             hx_digits = hx_digits * mx + ((hist // B ** (t - 1 - u)) % B) % mx
-        denom = px_prev[hx_digits]
-        step_terms = []
-        for h in np.nonzero(p_hist > 0.0)[0]:
-            ph = p_hist[h]
-            c = crows[h]
-            acc = 0.0
-            for a in range(mx):
-                ca = c[a]
-                if ca > 0.0:
-                    r = px_next[hx_digits[h] * mx + a] / denom[h]
-                    acc += ca * math.log2(ca / r)
-            step_terms.append(ph * max(acc, 0.0))
+        pnext = px_next.reshape(-1, mx)  # row: x-prefix code, column: next x
+        step_terms = [
+            p_hist[h] * _kl_bits(crows[h], pnext[hx_digits[h]] / px_prev[hx_digits[h]])
+            for h in np.nonzero(p_hist > 0.0)[0]
+        ]
         total_terms.append(math.fsum(step_terms))
         xc = xc * mx + xdig[:, t]
     return math.fsum(total_terms)

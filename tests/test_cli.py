@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from causalpath.cli import main
-from causalpath.scenarios import unidirectional_model
+from causalpath.scenarios import bidirectional_model, unidirectional_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,6 +68,18 @@ class TestSimulate:
         assert run("simulate", "--model", bad, "--n", 10, "--seed", 0,
                    "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("extra", [
+        {"x_window": [3], "y_window": [0]},  # symbol outside the ternary alphabet
+        {"x_window": [0], "y_window": [1]},  # a window the file already lists
+    ])
+    def test_overwriting_model_row_is_input_error(self, tmp_path, extra):
+        data = bidirectional_model().to_json_dict()
+        data["kernel"].append(dict(data["kernel"][0], **extra))
+        mpath = tmp_path / "bad_model.json"
+        mpath.write_text(json.dumps(data))
+        assert run("simulate", "--model", mpath, "--n", 10, "--seed", 0,
+                   "--out", tmp_path / "o") == 2
+
 
 class TestEstimate:
     @pytest.fixture()
@@ -112,6 +124,22 @@ class TestEstimate:
         first = json.loads((out / "trace_y_to_x.jsonl").read_text().splitlines()[0])
         assert first["reference_leaves"] == 27
         assert first["reference_nodes"] == 31
+
+    def test_model_supplies_alphabets(self, tmp_path):
+        # short binary streams never show the ternary model's top symbol
+        mpath = tmp_path / "model.json"
+        bidirectional_model().save(mpath)
+        for name, symbols in (("x", [0, 1, 1, 0]), ("y", [1, 0, 0, 1]), ("bad", [0, 3, 1, 0])):
+            rows = [f"{i},{s}" for i, s in enumerate(symbols, 1)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["i,symbol"] + rows) + "\n")
+        out = tmp_path / "est_short"
+        assert run("estimate", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv",
+                   "--model", mpath, "--out", out) == 0
+        meta = json.loads((out / "metadata.json").read_text())["trace_metadata"]
+        assert meta["y_to_x"]["alphabet_x"] == meta["y_to_x"]["alphabet_y"] == 3
+        # symbols outside the model's alphabet still fail
+        assert run("estimate", "--x", tmp_path / "bad.csv", "--y", tmp_path / "y.csv",
+                   "--model", mpath, "--out", tmp_path / "e") == 2
 
     def test_missing_input_file(self, tmp_path):
         assert run("estimate", "--x", tmp_path / "nope.csv", "--y", tmp_path / "nope.csv",

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from causalpath.core import Alphabet
+from causalpath.core import Alphabet, ProbDist, kl_divergence
 from causalpath.markov import (
     JointMarkovModel,
     NonErgodicError,
     RestrictedFilter,
+    causal_measure_path,
     directed_information,
     exact_pdi_rate,
     exact_tdi_rate,
@@ -24,10 +25,12 @@ from causalpath.markov import (
     true_restricted_brute,
 )
 from causalpath.scenarios import (
+    SCENARIO_NAMES,
     bidirectional_model,
     cross_copy_model,
     iid_influence_model,
     independent_model,
+    scenario_model,
     unidirectional_model,
 )
 
@@ -56,6 +59,27 @@ def brute_conditional(model, x_hist, y_stale):
             w = model.shift_window(w, model.pair_index(xs[t], yfull[t]))
         probs += pr * model.kernel_x[w]
     return probs / probs.sum()
+
+
+def per_window_pdi_rate(model, k):
+    """Reference partial DI rate: the stationary (d+k)-window law times
+    KL(complete || true_partial_dist) at every window, summed window by
+    window (the enumeration exact_pdi_rate replaced by one conditional MI)."""
+    d, B = model.order, model.pair_count
+    D = d + k
+    pi = stationary_distribution(model).probs
+    for _ in range(k):
+        # flat index = old_window * B + new_pair: new pair in the lowest digit
+        pi = (pi[:, None] * model.pair_transition[np.arange(pi.size) % B**d]).ravel()
+    terms = []
+    for w in np.nonzero(pi > 0.0)[0]:
+        pairs = [(w // B**j) % B for j in reversed(range(D))]  # oldest first
+        xs = [p % model.mx for p in pairs]
+        ys = [p // model.mx for p in pairs]
+        complete = ProbDist(model.alphabet_x, model.kernel_x[w % B**d])
+        partial = true_partial_dist(model, xs, ys[:d], k)
+        terms.append(pi[w] * kl_divergence(complete, partial))
+    return max(math.fsum(terms), 0.0)
 
 
 class TestSimulate:
@@ -158,6 +182,19 @@ class TestRestrictedFilter:
             pb = true_restricted_brute(m, x.data[:i]).probs
             assert np.allclose(filt.predict().probs, pb, atol=1e-10)
             filt.observe(int(x.data[i]))
+
+    @pytest.mark.parametrize("order,mx,my", [(2, 2, 3), (2, 3, 3), (3, 2, 3)])
+    def test_ternary_side_matches_brute(self, order, mx, my):
+        # folding the side window regroups sums only when my >= 3 and d >= 2
+        m = random_model(order, mx, my, np.random.default_rng(46 + 10 * order + mx))
+        x, _ = simulate(m, 10, seed=order)
+        filt = RestrictedFilter(m)
+        worst = 0.0
+        for i in range(10):
+            pb = true_restricted_brute(m, x.data[:i]).probs
+            worst = max(worst, float(np.max(np.abs(filt.predict().probs - pb))))
+            filt.observe(int(x.data[i]))
+        assert worst <= 1e-10
 
     def test_chain_rule_consistency(self):
         m = random_model(1, 2, 2, np.random.default_rng(44))
@@ -379,6 +416,25 @@ class TestRates:
         assert est.rate <= tdi + 3 * est.stderr
         assert pdi < tdi
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_pdi_matches_per_window_enumeration(self, name):
+        m = scenario_model(name)
+        for k in (1, 2, 3):
+            assert abs(exact_pdi_rate(m, k) - per_window_pdi_rate(m, k)) <= 1e-12
+
+    def test_mc_rate_is_batch_means_of_causal_measure_path(self):
+        models = (bidirectional_model(), random_model(2, 2, 3, np.random.default_rng(7)))
+        for m in models:
+            n, seed, batches = 3000, 12, 50
+            est = mc_di_rate(m, n, seed, batches=batches)
+            x, y = simulate(m, n, seed)
+            vals = causal_measure_path(m, x, y)[m.order :]
+            per = vals.size // batches
+            means = vals[: per * batches].reshape(batches, per).mean(axis=1)
+            assert est.rate == float(vals.mean())
+            assert est.stderr == float(means.std(ddof=1) / math.sqrt(batches))
+            assert (est.steps, est.batches) == (n - m.order, batches)
+
     def test_pdi_monotone_toward_di(self):
         m = bidirectional_model()
         assert exact_pdi_rate(m, 1) <= exact_pdi_rate(m, 2) + 1e-12
@@ -449,6 +505,33 @@ class TestModelIO:
         k = np.full((4, 2), 0.5)
         with pytest.raises(ValueError):
             JointMarkovModel(1, B2, B2, k, k, initial=[bad, 0.5, 0.25, 0.25])
+
+    def test_window_index_rejects_out_of_range_symbols(self):
+        m = random_model(1, 2, 3, np.random.default_rng(83))
+        for xw, yw in (([2], [0]), ([-1], [0]), ([0], [3]), ([1], [-1])):
+            with pytest.raises(ValueError, match="alphabet"):
+                m.window_index(xw, yw)
+
+    @pytest.mark.parametrize("xw,yw", [([3], [0]), ([-1], [1]), ([1], [3])])
+    def test_out_of_range_window_rejected(self, xw, yw):
+        # a tenth row must not silently overwrite one of the nine windows
+        data = bidirectional_model().to_json_dict()
+        data["kernel"].append(dict(data["kernel"][1], x_window=xw, y_window=yw))
+        with pytest.raises(ValueError, match="alphabet"):
+            JointMarkovModel.from_json_dict(data)
+
+    @pytest.mark.parametrize("section", ["kernel", "initial"])
+    def test_window_listed_twice_rejected(self, section):
+        m = bidirectional_model()
+        data = m.to_json_dict()
+        data["initial"] = [
+            {"x_window": r["x_window"], "y_window": r["y_window"], "prob": float(p)}
+            for r, p in zip(data["kernel"], m.initial)
+        ]
+        assert JointMarkovModel.from_json_dict(data).has_custom_initial
+        data[section].append(dict(data[section][1]))
+        with pytest.raises(ValueError, match="twice"):
+            JointMarkovModel.from_json_dict(data)
 
     def test_incomplete_file_rejected(self, tmp_path):
         m = random_model(1, 2, 2, np.random.default_rng(82))

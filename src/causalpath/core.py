@@ -119,20 +119,18 @@ def kl_divergence(p: ProbDist, q: ProbDist) -> float:
     return _kl_bits(p.probs, q.probs)
 
 
-def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p || q) in bits between two probability arrays of equal length;
-    the per-step form of kl_divergence, without building ProbDists."""
-    total = 0.0
-    for pa, qa in zip(p.tolist(), q.tolist()):
-        if pa == 0.0:
-            continue
-        if qa == 0.0:
-            raise AbsoluteContinuityError(
-                "p has mass on a symbol where q is zero"
-            )
-        total += pa * math.log2(pa / qa)
+def _kl_bits(p: np.ndarray, q: np.ndarray):
+    """D(p || q) in bits between probability arrays of equal shape: a float
+    for two laws, one value per row for (rows, symbols) arrays; the array
+    form of kl_divergence, without building ProbDists."""
+    mass = p > 0.0
+    if np.any(mass & (q == 0.0)):
+        raise AbsoluteContinuityError("p has mass on a symbol where q is zero")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mass, p * np.log2(p / q), 0.0)
     # Rounding can push the exact-equality case a hair below zero.
-    return max(total, 0.0)
+    total = np.maximum(terms.sum(axis=-1), 0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def entropy(p: ProbDist) -> float:

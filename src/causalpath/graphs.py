@@ -200,19 +200,20 @@ def _max_side_pair_mi(model: JointMarkovModel, ih: int) -> float:
     B, mx, my = model.pair_count, model.mx, model.my
     arr = _extended_window_dist(model, ih)  # most recent time ih in low digit
     paths = np.arange(B**ih)
-    xcode_upto = [np.zeros(B**ih, dtype=np.int64)]
     ydig = np.empty((ih, B**ih), dtype=np.int64)
-    for t in range(1, ih + 1):
-        pair = (paths // B ** (ih - t)) % B
-        xcode_upto.append(xcode_upto[-1] * mx + pair % mx)
-        ydig[t - 1] = pair // mx
+    xcode = np.zeros(B**ih, dtype=np.int64)  # code of x^i, one digit more per i
     worst = 0.0
-    for i in range(2, ih + 1):
-        xcode = xcode_upto[i]
+    for i in range(1, ih + 1):
+        pair = (paths // B ** (ih - i)) % B
+        ydig[i - 1] = pair // mx
+        xcode = xcode * mx + pair % mx
         for j, k in combinations(range(1, i + 1), 2):
-            joint = np.zeros((my, my, mx**i))
-            np.add.at(joint, (ydig[j - 1], ydig[k - 1], xcode), arr)
-            worst = max(worst, _cmi_table(joint))
+            flat = ydig[j - 1] * my  # (y_j, y_k, x^i) code, built in place
+            flat += ydig[k - 1]
+            flat *= mx**i
+            flat += xcode
+            joint = np.bincount(flat, weights=arr, minlength=my * my * mx**i)
+            worst = max(worst, _cmi_table(joint.reshape(my, my, mx**i)))
     return worst
 
 
@@ -249,6 +250,5 @@ def nodeset_conditional_mi(
     ca, na = group_code(A)
     cb, nb = group_code(B_)
     cc, nc = group_code(C)
-    joint = np.zeros((na, nb, nc))
-    np.add.at(joint, (ca, cb, cc), arr)
-    return _cmi_table(joint)
+    joint = np.bincount((ca * nb + cb) * nc + cc, weights=arr, minlength=na * nb * nc)
+    return _cmi_table(joint.reshape(na, nb, nc))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,8 @@ import numpy as np
 from .core import Alphabet, ProbDist, SymbolSeq, _kl_bits, kl_divergence
 
 _BRUTE_PATH_LIMIT = 2_000_000
+# Steps per block of simulation and of the KL along a path: bounds temporaries.
+_BLOCK = 512
 
 
 class NonErgodicError(ValueError):
@@ -315,14 +318,21 @@ def simulate(model: JointMarkovModel, n: int, seed: int) -> tuple[SymbolSeq, Sym
     widx = int(rng.choice(model.num_windows, p=model.initial))
     xw, yw = model.decode_window(widx)
     x[:d], y[:d] = xw, yw
-    cum_x = np.cumsum(model.kernel_x, axis=1)
-    cum_y = np.cumsum(model.kernel_y, axis=1)
+    mx, my, B = model.mx, model.my, model.pair_count
+    keep = B ** (d - 1)
+    cum_x = np.cumsum(model.kernel_x, axis=1).tolist()
+    cum_y = np.cumsum(model.kernel_y, axis=1).tolist()
     u = rng.random((max(n - d, 1), 2))
-    for t in range(d, n):
-        xs = min(int(np.searchsorted(cum_x[widx], u[t - d, 0], side="right")), model.mx - 1)
-        ys = min(int(np.searchsorted(cum_y[widx], u[t - d, 1], side="right")), model.my - 1)
-        x[t], y[t] = xs, ys
-        widx = model.shift_window(widx, model.pair_index(xs, ys))
+    for lo in range(0, n - d, _BLOCK):
+        block = []
+        # bisect_right is searchsorted(side="right"): the first cumulative
+        # entry above u; rounding can leave u above the last one
+        for ux, uy in u[lo : lo + _BLOCK].tolist():
+            xs = min(bisect_right(cum_x[widx], ux), mx - 1)
+            ys = min(bisect_right(cum_y[widx], uy), my - 1)
+            block.append((xs, ys))
+            widx = xs + mx * ys + B * (widx % keep)
+        x[d + lo : d + lo + len(block)], y[d + lo : d + lo + len(block)] = np.array(block).T
     return SymbolSeq(model.alphabet_x, x), SymbolSeq(model.alphabet_y, y)
 
 
@@ -342,73 +352,104 @@ class RestrictedFilter:
     returns p(x_i | x^{i-1}) exactly and observe() folds in the next revealed
     target symbol. Raises ValueError when the observed sequence has zero
     probability under the model.
+
+    Past the initial window a step is one product with a precomputed table of
+    the observed x-window: beta @ table holds the unnormalized predictive law
+    in its first mx columns, then per symbol s the unnormalized posterior
+    after s in a block of my**d columns, whose mass is the law's entry s.
     """
 
     def __init__(self, model: JointMarkovModel):
         self.model = model
         self._i = 0
-        self._w = model.initial.copy()  # joint over initial windows while i < d
-        self._beta: Optional[np.ndarray] = None  # posterior over y-windows
-        self._xwin = 0  # observed x-window code, most recent low digit
+        self._xwin = 0  # observed x-prefix code, most recent low digit
+        self._beta: Optional[np.ndarray] = None  # posterior over y-windows once i >= d
         d, mx, my = model.order, model.mx, model.my
+        ny = my**d
         xcodes = np.arange(mx**d)
-        ycodes = np.arange(my**d)
-        widx = np.zeros((mx**d, my**d), dtype=np.int64)
+        ycodes = np.arange(ny)
+        widx = np.zeros((mx**d, ny), dtype=np.int64)
         for j in range(d):
             xd = (xcodes // mx**j) % mx
             yd = (ycodes // my**j) % my
             widx += (xd[:, None] + mx * yd[None, :]) * model.pair_count**j
         self._pairidx = widx
+        kx, ky = model.kernel_x[widx], model.kernel_y[widx]
+        table = np.zeros((mx**d, ny, mx * (1 + ny)))
+        table[:, :, :mx] = kx
+        # y-code c = r + my**(d-1) * oldest moves to y_new + my * r
+        shifted = (ycodes % my ** (d - 1))[:, None] * my + np.arange(my)
+        for s in range(mx):
+            table[:, ycodes[:, None], mx + s * ny + shifted] = kx[:, :, s, None] * ky
+        self._tables = list(table)  # one (my**d, mx * (1 + my**d)) table per x-window
 
     def predict(self) -> ProbDist:
         m = self.model
         if self._i < m.order:
-            probs = np.zeros(m.mx)
-            np.add.at(probs, m.window_x_positions[self._i], self._w)
-            total = probs.sum()
-            if total <= 0.0:
-                raise ValueError("model cannot produce the observed sequence")
-            return ProbDist(m.alphabet_x, probs / total)
-        rows = m.kernel_x[self._pairidx[self._xwin]]
-        probs = self._beta @ rows
-        return ProbDist(m.alphabet_x, probs / probs.sum())
+            probs = _initial_conditional(m, self._i, 0)[self._xwin]
+        else:
+            probs = self._beta.dot(self._tables[self._xwin])[: m.mx]
+            probs = probs / probs.sum()
+        return ProbDist(m.alphabet_x, probs)
 
     def observe(self, symbol: int) -> None:
         m = self.model
         sym = int(symbol)
         if not (0 <= sym < m.mx):
             raise ValueError("symbol out of alphabet")
-        d, mx, my = m.order, m.mx, m.my
-        if self._i < d:
-            self._w = np.where(m.window_x_positions[self._i] == sym, self._w, 0.0)
-            total = self._w.sum()
-            if total <= 0.0:
-                raise ValueError("model cannot produce the observed sequence")
-            self._w /= total
-            self._i += 1
-            if self._i == d:
-                ycode = np.zeros(m.num_windows, dtype=np.int64)
-                xcode = np.zeros(m.num_windows, dtype=np.int64)
-                for j in range(d):
-                    ycode += m.window_y_positions[d - 1 - j] * my**j
-                    xcode += m.window_x_positions[d - 1 - j] * mx**j
-                beta = np.zeros(my**d)
-                np.add.at(beta, ycode, self._w)
-                self._beta = beta
-                # all remaining mass shares the one observed x-window
-                self._xwin = int(xcode[int(np.argmax(self._w))])
+        if self._i >= m.order:
+            self._run([sym])
             return
-        widx = self._pairidx[self._xwin]
-        contrib = self._beta * m.kernel_x[widx, sym]
-        # y-code c = r + my**(d-1) * oldest moves to y_new + my * r: flat index
-        # c * my + y_new, reshaped to (oldest, r * my + y_new), sums the oldest out
-        new_beta = (contrib[:, None] * m.kernel_y[widx]).reshape(my, -1).sum(axis=0)
-        total = new_beta.sum()
-        if total <= 0.0:
+        if _initial_conditional(m, self._i, 0)[self._xwin, sym] <= 0.0:
             raise ValueError("model cannot produce the observed sequence")
-        self._beta = new_beta / total
-        self._xwin = sym + mx * (self._xwin % mx ** (d - 1))
+        self._xwin = sym + m.mx * self._xwin
         self._i += 1
+        if self._i == m.order:
+            beta = m.initial[self._pairidx[self._xwin]]
+            self._beta = beta / beta.sum()
+
+    def _run(self, symbols: list) -> np.ndarray:
+        """Predict, then observe, each symbol in turn past the initial window;
+        returns the predictive laws as rows. The caller checks the symbols'
+        range."""
+        mx, ny = self.model.mx, self.model.my**self.model.order
+        keep = mx ** (self.model.order - 1)
+        posterior = [slice(mx + s * ny, mx + (s + 1) * ny) for s in range(mx)]
+        tables, beta, xwin = self._tables, self._beta, self._xwin
+        out = np.empty((len(symbols), mx))
+        for j, s in enumerate(symbols):
+            v = beta.dot(tables[xwin])
+            out[j] = v[:mx]
+            ps = v[s]
+            if ps <= 0.0:
+                raise ValueError("model cannot produce the observed sequence")
+            beta = v[posterior[s]] / ps
+            xwin = s + mx * (xwin % keep)
+        self._beta, self._xwin = beta, xwin
+        self._i += len(symbols)
+        out /= out.sum(axis=1, keepdims=True)
+        return out
+
+
+def _initial_conditional(model: JointMarkovModel, t: int, s: int) -> np.ndarray:
+    """p(x_t | first t target and first s <= t side symbols) for t < d, from
+    the initial window law: a (mx**t * my**s, mx) table whose row is the
+    prefix code, oldest position in the top digit and a position u < s packed
+    as its pair x + mx * y (so s = t gives the pair-prefix code). Prefixes
+    with zero probability get zero rows."""
+    m = model
+    code = np.zeros(m.num_windows, dtype=np.int64)
+    for u in range(t):
+        if u < s:
+            code = code * m.my + m.window_y_positions[u]
+        code = code * m.mx + m.window_x_positions[u]
+    rows = m.mx**t * m.my**s
+    joint = np.bincount(
+        code * m.mx + m.window_x_positions[t], weights=m.initial, minlength=rows * m.mx
+    ).reshape(rows, m.mx)
+    denom = joint.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, joint / denom, 0.0)
 
 
 def stale_history_dist(model: JointMarkovModel, x_hist, y_hist) -> ProbDist:
@@ -426,22 +467,18 @@ def stale_history_dist(model: JointMarkovModel, x_hist, y_hist) -> ProbDist:
     s = len(ys)
     if s > i1:
         raise ValueError("side history longer than target history")
-    d = m.order
-    if i1 < d:
-        # next symbol position is still inside the initial window
-        mask = np.ones(m.num_windows, dtype=bool)
-        for t in range(i1):
-            mask &= m.window_x_positions[t] == xs[t]
-        for t in range(s):
-            mask &= m.window_y_positions[t] == ys[t]
-        w = np.where(mask, m.initial, 0.0)
-        probs = np.zeros(m.mx)
-        np.add.at(probs, m.window_x_positions[i1], w)
-        total = probs.sum()
-        if total <= 0.0:
-            raise ValueError("history has zero probability under the model")
-        return ProbDist(m.alphabet_x, probs / total)
-    return _hidden_side_dist(m, xs, ys, from_initial=True)
+    if i1 >= m.order:
+        return _hidden_side_dist(m, xs, ys, from_initial=True)
+    # next symbol position is still inside the initial window
+    code = 0
+    for u in range(i1):
+        if u < s:
+            code = code * m.my + int(ys[u])
+        code = code * m.mx + int(xs[u])
+    probs = _initial_conditional(m, i1, s)[code]
+    if not probs.any():
+        raise ValueError("history has zero probability under the model")
+    return ProbDist(m.alphabet_x, probs)
 
 
 def true_restricted_brute(model: JointMarkovModel, x_hist) -> ProbDist:
@@ -560,48 +597,69 @@ def _path_pair(model: JointMarkovModel, x_hist, y_hist):
     return xs, ys
 
 
-def _complete_rows(model: JointMarkovModel, xs, ys):
-    """The complete law of X at every step as an array: the initial-window
-    conditional while i < d, then the kernel row of the last d pairs."""
-    widx = 0
-    for i in range(len(xs)):
-        if i < model.order:
-            yield stale_history_dist(model, xs[:i], ys[:i]).probs
-        else:
-            yield model.kernel_x[widx]
-        widx = model.shift_window(widx, model.pair_index(xs[i], ys[i]))
+def _complete_rows(model: JointMarkovModel, xs, ys) -> np.ndarray:
+    """The complete law of X at every step as an (n, mx) array: the
+    initial-window conditional while i < d, then the kernel row of the last d
+    pairs."""
+    d, B, n = model.order, model.pair_count, len(xs)
+    pairs = xs + model.mx * ys
+    # window of step i: pairs i-d..i-1, oldest in the top digit (in place)
+    widx = np.zeros(n, dtype=np.int64)
+    for u in range(d):
+        widx[d:] *= B
+        widx[d:] += pairs[u : n - d + u]
+    rows = model.kernel_x[widx]
+    for t in range(min(d, n)):
+        rows[t] = stale_history_dist(model, xs[:t], ys[:t]).probs
+    return rows
+
+
+def _kl_path(complete: np.ndarray, head: list, tail) -> np.ndarray:
+    """KL (bits) from the complete law to a reference law at every step: head
+    lists the reference rows of the first steps, and tail(lo, hi) returns
+    those of steps lo..hi-1, called in step order _BLOCK steps at a time."""
+    n, first = complete.shape[0], len(head)
+    out = np.empty(n)
+    if head:
+        out[:first] = _kl_bits(complete[:first], np.array(head))
+    for lo in range(first, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        out[lo:hi] = _kl_bits(complete[lo:hi], tail(lo, hi))
+    return out
 
 
 def causal_measure_path(model: JointMarkovModel, x_hist, y_hist) -> np.ndarray:
     """True causal measure at every time step of a realized pair of paths."""
     xs, ys = _path_pair(model, x_hist, y_hist)
-    out = np.empty(len(xs))
+    complete = _complete_rows(model, xs, ys)
     filt = RestrictedFilter(model)
-    for i, complete in enumerate(_complete_rows(model, xs, ys)):
-        out[i] = _kl_bits(complete, filt.predict().probs)
-        filt.observe(xs[i])
-    return out
+    head = []
+    for s in xs[: model.order]:  # the initial window, through the checked wrappers
+        head.append(filt.predict().probs)
+        filt.observe(s)
+    return _kl_path(complete, head, lambda lo, hi: filt._run(xs[lo:hi].tolist()))
 
 
 def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.ndarray:
     """True partial causal measure (staleness k) at every time step."""
     xs, ys = _path_pair(model, x_hist, y_hist)
-    d = model.order
-    out = np.empty(len(xs))
-    cache: dict = {}
-    for i, complete in enumerate(_complete_rows(model, xs, ys)):
-        if i < d + k:
-            partial = stale_history_dist(model, xs[:i], ys[: max(0, i - k)])
-        else:
-            key = (tuple(xs[i - d - k : i]), tuple(ys[i - d - k : i - k]))
-            partial = cache.get(key)
-            if partial is None:
-                partial = true_partial_dist(
-                    model, xs[i - d - k : i], ys[i - d - k : i - k], k
-                )
-                cache[key] = partial
-        out[i] = _kl_bits(complete, partial.probs)
-    return out
+    d, n = model.order, len(xs)
+    head = [
+        stale_history_dist(model, xs[:i], ys[: max(0, i - k)]).probs for i in range(min(d + k, n))
+    ]
+    table = inverse = None
+    if n > d + k:
+        # from step d + k on the partial law depends only on the last d + k
+        # target and the d side symbols before the newest k: one
+        # true_partial_dist per distinct window
+        windows = np.lib.stride_tricks.sliding_window_view
+        hist = np.hstack([windows(xs, d + k)[: n - d - k], windows(ys, d)[: n - d - k]])
+        _, where, inverse = np.unique(hist, axis=0, return_index=True, return_inverse=True)
+        table = np.array(
+            [true_partial_dist(model, xs[j : j + d + k], ys[j : j + d], k).probs for j in where]
+        )
+    complete = _complete_rows(model, xs, ys)
+    return _kl_path(complete, head, lambda lo, hi: table[inverse[lo - d - k : hi - d - k]])
 
 
 # -- stationary analysis -------------------------------------------------------------
@@ -820,25 +878,6 @@ def _path_table(model: JointMarkovModel, n: int):
     return prob, pairs, xdig, ydig
 
 
-def _initial_conditionals(model: JointMarkovModel) -> list[np.ndarray]:
-    """For each t < d: p(x_t | pairs before t) within the initial window,
-    as a (B**t, mx) table indexed by the pair-prefix code."""
-    d, B = model.order, model.pair_count
-    out = []
-    for t in range(d):
-        joint = np.zeros((B**t, model.mx))
-        pref = np.zeros(model.num_windows, dtype=np.int64)
-        for u in range(t):
-            pair_u = model.window_x_positions[u] + model.mx * model.window_y_positions[u]
-            pref = pref * B + pair_u
-        np.add.at(joint, (pref, model.window_x_positions[t]), model.initial)
-        denom = joint.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(denom > 0.0, joint / denom, 0.0)
-        out.append(cond)
-    return out
-
-
 def directed_information(model: JointMarkovModel, n: int) -> float:
     """Finite-horizon directed information (bits) from the side process's
     strictly prior past to the target, as an entropy difference computed by
@@ -854,7 +893,7 @@ def directed_information(model: JointMarkovModel, n: int) -> float:
     hx = -math.fsum(p * math.log2(p) for p in px if p > 0.0)
     # complete per-step log-factors along each path
     loglik = np.zeros(prob.size)
-    init_cond = _initial_conditionals(model)
+    init_cond = [_initial_conditional(model, t, t) for t in range(d)]
     pref = np.zeros(prob.size, dtype=np.int64)
     for t in range(d):
         factor = init_cond[t][pref, xdig[:, t]]
@@ -877,7 +916,7 @@ def expected_causal_sum(model: JointMarkovModel, n: int) -> float:
     d, B = model.order, model.pair_count
     mx = model.mx
     prob, pairs, xdig, _ = _path_table(model, n)
-    init_cond = _initial_conditionals(model)
+    init_cond = [_initial_conditional(model, t, t) for t in range(d)]
     total_terms = []
     xc = np.zeros(prob.size, dtype=np.int64)  # x-prefix code, grows per step
     for i in range(1, n + 1):
@@ -897,10 +936,8 @@ def expected_causal_sum(model: JointMarkovModel, n: int) -> float:
         for u in range(t):
             hx_digits = hx_digits * mx + ((hist // B ** (t - 1 - u)) % B) % mx
         pnext = px_next.reshape(-1, mx)  # row: x-prefix code, column: next x
-        step_terms = [
-            p_hist[h] * _kl_bits(crows[h], pnext[hx_digits[h]] / px_prev[hx_digits[h]])
-            for h in np.nonzero(p_hist > 0.0)[0]
-        ]
-        total_terms.append(math.fsum(step_terms))
+        h = np.nonzero(p_hist > 0.0)[0]
+        kl = _kl_bits(crows[h], pnext[hx_digits[h]] / px_prev[hx_digits[h], None])
+        total_terms.append(math.fsum((p_hist[h] * kl).tolist()))
         xc = xc * mx + xdig[:, t]
     return math.fsum(total_terms)

@@ -214,14 +214,21 @@ def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_sna
     }
 
 
-def _estimate(xs, ys, config, schema_r, keep_snapshots, truth) -> CausalTrace:
+def _estimate(xs, ys, config, schema_r, keep_snapshots, truth_path) -> CausalTrace:
+    """The trace of one estimate; truth_path, if given, computes the oracle
+    truth column and is timed like the dual run and the bound curve."""
     n = xs.size
     mx = config.alphabet_x.size
+    t0 = time.perf_counter()
+    truth = None if truth_path is None else truth_path()
+    truth_s = None if truth_path is None else time.perf_counter() - t0
     schema_c = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, 0)
     (est, cvec, llc, llr), snaps, stats = _dual_run(xs, ys, schema_c, schema_r, keep_snapshots)
     lc, sc, lr = schema_c.leaf_count(), schema_c.node_count(), schema_r.leaf_count()
     sr = None if schema_r.side_alphabet is None else schema_r.node_count()
+    t0 = time.perf_counter()
     first, _, _, cum_bound = bound_curve(schema_c, schema_r, cvec)
+    bound_s = time.perf_counter() - t0
     trace = CausalTrace(
         estimate_bits=est,
         c=cvec,
@@ -245,6 +252,9 @@ def _estimate(xs, ys, config, schema_r, keep_snapshots, truth) -> CausalTrace:
             "warmup": max(schema_c.total_depth, schema_r.total_depth),
             "bound_defined_from": first if first <= n else None,
             **stats,
+            "truth_s": truth_s,
+            "truth_steps_per_s": n / truth_s if truth_s else None,
+            "bound_s": bound_s,
             "units": "bits",
             "normalization": "cum_abs_err and cum_bound are divided by n when normalized",
         },
@@ -267,7 +277,7 @@ def estimate_causal_trace(
     (target-only) predictor. Deterministic in its inputs."""
     xs, ys = _check_inputs(x, y, config, truth_model)
     schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
-    truth = None if truth_model is None else causal_measure_path(truth_model, xs, ys)
+    truth = None if truth_model is None else lambda: causal_measure_path(truth_model, xs, ys)
     return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
 
 
@@ -292,7 +302,7 @@ def estimate_partial_trace(
         schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
     else:
         schema_r = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, k)
-    truth = None if truth_model is None else partial_measure_path(truth_model, xs, ys, k)
+    truth = None if truth_model is None else lambda: partial_measure_path(truth_model, xs, ys, k)
     return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
 
 

@@ -172,6 +172,19 @@ class TestEstimate:
             assert tm["dual_run_s"] > 0
             assert tm["dual_run_steps_per_s"] == pytest.approx(400 / tm["dual_run_s"])
 
+    def test_metadata_times_the_truth_path(self, sim, tmp_path):
+        mpath = tmp_path / "model.json"
+        unidirectional_model().save(mpath)
+        out = tmp_path / "est5"
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv",
+                   "--model", mpath, "--direction", "both", "--k", 1, "--out", out) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        for label in ("y_to_x", "x_to_y"):
+            tm = meta["trace_metadata"][label]
+            assert tm["truth_s"] > 0
+            assert tm["truth_steps_per_s"] == pytest.approx(400 / tm["truth_s"])
+            assert tm["bound_s"] >= 0
+
 
 class TestBounds:
     def test_values(self, capsys, tmp_path):
@@ -283,6 +296,8 @@ class TestStocks:
             assert tm["bound_defined_from"] == 9
             assert tm["nodes_allocated"]["complete"] > 1
             assert tm["dual_run_steps_per_s"] > 0
+            assert tm["truth_s"] is None and tm["truth_steps_per_s"] is None  # no model
+            assert tm["bound_s"] >= 0
 
 
 class TestOutputDir:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from causalpath.core import Alphabet, ProbDist, kl_divergence
+from causalpath.core import AbsoluteContinuityError, Alphabet, ProbDist, kl_divergence
 from causalpath.markov import (
     JointMarkovModel,
     NonErgodicError,
@@ -14,6 +14,7 @@ from causalpath.markov import (
     exact_tdi_rate,
     expected_causal_sum,
     mc_di_rate,
+    partial_measure_path,
     random_model,
     simulate,
     stale_history_dist,
@@ -543,3 +544,189 @@ class TestModelIO:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             JointMarkovModel.load(path)
+
+
+# -- matrix-form paths against the per-step loops they replaced -------------------
+
+
+def masked_initial_conditional(model, xs, ys):
+    """p(x_t | xs, ys) for t = len(xs) < d by masking the initial window law."""
+    mask = np.ones(model.num_windows, dtype=bool)
+    for t, s in enumerate(xs):
+        mask &= model.window_x_positions[t] == s
+    for t, s in enumerate(ys):
+        mask &= model.window_y_positions[t] == s
+    probs = np.zeros(model.mx)
+    np.add.at(probs, model.window_x_positions[len(xs)], np.where(mask, model.initial, 0.0))
+    return probs / probs.sum()
+
+
+class LoopFilter:
+    """The per-step restricted filter: a joint over initial windows while
+    i < d, then a posterior over y-windows folded one symbol at a time."""
+
+    def __init__(self, model):
+        self.m, self.i, self.w, self.beta, self.xwin = model, 0, model.initial.copy(), None, 0
+        d, mx, my = model.order, model.mx, model.my
+        xcodes, ycodes = np.arange(mx**d), np.arange(my**d)
+        self.pairidx = sum(
+            (((xcodes // mx**j) % mx)[:, None] + mx * ((ycodes // my**j) % my)[None, :])
+            * model.pair_count**j
+            for j in range(d)
+        )
+
+    def predict(self):
+        m = self.m
+        if self.i < m.order:
+            probs = np.zeros(m.mx)
+            np.add.at(probs, m.window_x_positions[self.i], self.w)
+        else:
+            probs = self.beta @ m.kernel_x[self.pairidx[self.xwin]]
+        return probs / probs.sum()
+
+    def observe(self, sym):
+        m = self.m
+        d, mx, my = m.order, m.mx, m.my
+        if self.i < d:
+            self.w = np.where(m.window_x_positions[self.i] == sym, self.w, 0.0)
+            if self.w.sum() <= 0.0:
+                raise ValueError("impossible")
+            self.w /= self.w.sum()
+            if self.i == d - 1:
+                ycode = sum(m.window_y_positions[d - 1 - j] * my**j for j in range(d))
+                self.beta = np.zeros(my**d)
+                np.add.at(self.beta, ycode, self.w)
+        else:
+            widx = self.pairidx[self.xwin]
+            contrib = self.beta * m.kernel_x[widx, sym]
+            new_beta = (contrib[:, None] * m.kernel_y[widx]).reshape(my, -1).sum(axis=0)
+            if new_beta.sum() <= 0.0:
+                raise ValueError("impossible")
+            self.beta = new_beta / new_beta.sum()
+        # while i < d the code has fewer than d digits and the modulus keeps it
+        self.xwin = sym + mx * (self.xwin % mx ** (d - 1))
+        self.i += 1
+
+
+def loop_complete(model, xs, ys, i):
+    d = model.order
+    if i < d:
+        return masked_initial_conditional(model, xs[:i], ys[:i])
+    return model.kernel_x[model.window_index(xs[i - d : i], ys[i - d : i])]
+
+
+def loop_causal_measure_path(model, xs, ys):
+    ax, filt, out = model.alphabet_x, LoopFilter(model), []
+    for i in range(len(xs)):
+        complete = ProbDist(ax, loop_complete(model, xs, ys, i))
+        out.append(kl_divergence(complete, ProbDist(ax, filt.predict())))
+        filt.observe(int(xs[i]))
+    return np.array(out)
+
+
+def loop_partial_measure_path(model, xs, ys, k):
+    ax, d, out = model.alphabet_x, model.order, []
+    for i in range(len(xs)):
+        if i < d:
+            partial = masked_initial_conditional(model, xs[:i], ys[: max(0, i - k)])
+        elif i < d + k:
+            partial = stale_history_dist(model, xs[:i], ys[: max(0, i - k)]).probs
+        else:
+            partial = true_partial_dist(model, xs[i - d - k : i], ys[i - d - k : i - k], k).probs
+        complete = ProbDist(ax, loop_complete(model, xs, ys, i))
+        out.append(kl_divergence(complete, ProbDist(ax, partial)))
+    return np.array(out)
+
+
+def searchsorted_simulate(model, n, seed):
+    """The per-step searchsorted sampler."""
+    d = model.order
+    rng = np.random.default_rng(seed)
+    x, y = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    widx = int(rng.choice(model.num_windows, p=model.initial))
+    x[:d], y[:d] = model.decode_window(widx)
+    cum_x, cum_y = np.cumsum(model.kernel_x, axis=1), np.cumsum(model.kernel_y, axis=1)
+    u = rng.random((max(n - d, 1), 2))
+    for t in range(d, n):
+        xs = min(int(np.searchsorted(cum_x[widx], u[t - d, 0], side="right")), model.mx - 1)
+        ys = min(int(np.searchsorted(cum_y[widx], u[t - d, 1], side="right")), model.my - 1)
+        x[t], y[t] = xs, ys
+        widx = model.shift_window(widx, model.pair_index(xs, ys))
+    return x, y
+
+
+PATH_MODELS = list(SCENARIO_NAMES) + [
+    f"random-{d}-{mx}-{my}" for d in (1, 2, 3) for mx in (2, 3) for my in (2, 3)
+]
+
+
+def path_model(name):
+    if name in SCENARIO_NAMES:
+        return scenario_model(name)
+    d, mx, my = map(int, name.split("-")[1:])
+    return random_model(d, mx, my, np.random.default_rng(100 * d + 10 * mx + my))
+
+
+class TestMatrixFormPaths:
+    @pytest.mark.parametrize("name", PATH_MODELS)
+    def test_paths_match_per_step_loops(self, name):
+        m = path_model(name)
+        n = 520 if name in SCENARIO_NAMES else 120  # 520 crosses a 512-step block
+        x, y = simulate(m, n, seed=len(name))
+        xs, ys = x.data, y.data
+        got = causal_measure_path(m, xs, ys)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - loop_causal_measure_path(m, xs, ys))) <= 1e-12
+        for k in (1, 2):
+            want = loop_partial_measure_path(m, xs, ys, k)
+            assert np.max(np.abs(partial_measure_path(m, xs, ys, k) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", PATH_MODELS)
+    def test_paths_up_to_the_order(self, name):
+        m = path_model(name)
+        x, y = simulate(m, m.order + 2, seed=1)
+        for length in range(m.order + 3):
+            xs, ys = x.data[:length], y.data[:length]
+            got = causal_measure_path(m, xs, ys)
+            assert got.shape == (length,)
+            assert np.allclose(got, loop_causal_measure_path(m, xs, ys), rtol=0, atol=1e-12)
+            got = partial_measure_path(m, xs, ys, 2)
+            assert np.allclose(got, loop_partial_measure_path(m, xs, ys, 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", PATH_MODELS)
+    def test_simulate_matches_searchsorted_loop(self, name):
+        m = path_model(name)
+        for seed, length in ((0, m.order), (1, m.order + 1), (2, 1100)):
+            x, y = simulate(m, length, seed)
+            want_x, want_y = searchsorted_simulate(m, length, seed)
+            assert np.array_equal(x.data, want_x) and np.array_equal(y.data, want_y)
+
+    def test_simulate_matches_searchsorted_loop_with_zero_entries(self):
+        kx = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 0.8]] * 2)
+        ky = np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]] * 2)
+        m = JointMarkovModel(1, Alphabet(3), B2, kx, ky, initial=np.full(6, 1 / 6))
+        x, y = simulate(m, 700, seed=4)
+        want_x, want_y = searchsorted_simulate(m, 700, seed=4)
+        assert np.array_equal(x.data, want_x) and np.array_equal(y.data, want_y)
+
+    def test_impossible_sequence_raises(self):
+        kx = np.tile([1.0, 0.0], (4, 1))  # X is identically 0
+        ky = np.tile([0.5, 0.5], (4, 1))
+        init = np.array([0.25, 0.0, 0.75, 0.0])  # x1 = 0 surely
+        m = JointMarkovModel(1, B2, B2, kx, ky, initial=init)
+        for xs in ([0, 1], [0, 0, 0, 1], [1]):
+            with pytest.raises(ValueError):
+                causal_measure_path(m, xs, [0] * len(xs))
+        assert causal_measure_path(m, [0, 0, 0], [1, 0, 1]).tolist() == [0.0, 0.0, 0.0]
+
+    def test_complete_mass_where_restricted_is_zero(self):
+        # Y is surely 0, and X is surely 0 after y = 0: the restricted law
+        # puts no mass on 1, but after the impossible y = 1 the complete
+        # law does
+        kx = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        ky = np.tile([1.0, 0.0], (4, 1))
+        m = JointMarkovModel(1, B2, B2, kx, ky, initial=np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(AbsoluteContinuityError):
+            causal_measure_path(m, [0, 0, 0], [0, 1, 0])
+        with pytest.raises(AbsoluteContinuityError):
+            loop_causal_measure_path(m, [0, 0, 0], [0, 1, 0])

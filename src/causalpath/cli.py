@@ -152,6 +152,11 @@ def cmd_estimate(args) -> int:
     ay = Alphabet(args.alphabet_y) if args.alphabet_y else ay
     x = read_symbol_csv(args.x, ax)
     y = read_symbol_csv(args.y, ay)
+    source = "model" if model else "inferred"
+    alphabets = {  # each alphabet's size and where it came from
+        name: {"size": seq.alphabet.size, "source": "flag" if flag else source}
+        for name, seq, flag in (("x", x, args.alphabet_x), ("y", y, args.alphabet_y))
+    }
     written = []
     trace_meta = {}
     for label, target, side, truth in _direction_runs(args, x, y, model):
@@ -182,6 +187,7 @@ def cmd_estimate(args) -> int:
             "k": args.k,
             "direction": args.direction,
             "format": args.format,
+            "alphabets": alphabets,
             "traces": written,
             "truth_columns": model is not None,
             "trace_metadata": trace_meta,

@@ -10,8 +10,9 @@ supported:
   symbol alone and whose deeper d levels branch on the pair, so the newest k
   side-information samples are withheld from the predictor.
 
-Trees are flat per-node lists in the log2 domain, as in array CTW (Veness
-et al., JAIR 2011); counts are exact integers. Pre-start context positions
+Trees are flat per-node arrays in the log2 domain, as in array CTW (Veness
+et al., JAIR 2011), updated a block of steps at a time with one numpy pass
+per tree level; counts are exact integers. Pre-start context positions
 (time indices before the first sample) are represented as a dedicated absent
 branch per level, so predictions are defined from the very first symbol and
 the telescoping identity
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from typing import IO, Optional, Sequence
 
 import numpy as np
 
 from .core import Alphabet, ProbDist
-
-_LOG2_HALF = -1.0
 
 
 def kt_predict(counts: Sequence[int], m: int) -> ProbDist:
@@ -157,12 +158,63 @@ class ContextSchema:
         return tuple(ctx)
 
 
+def _log2(v: np.ndarray) -> np.ndarray:
+    """math.log2 of each entry: numpy's vector log2 (and power) round some
+    results unlike the scalar calls of the row-by-row walk."""
+    return np.fromiter(map(math.log2, v.tolist()), np.float64, v.size)
+
+
+def _exp2(v: np.ndarray) -> np.ndarray:
+    """2.0 ** x of each entry, rounded as the scalar power rounds it."""
+    return np.fromiter(map(pow, repeat(2.0), v.tolist()), np.float64, v.size)
+
+
+def _running_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums down the rows of vals, restarted at each group start.
+
+    Groups of similar length are padded with zeros into one 2-D block per
+    power-of-two width and summed along its rows, so each sum is sequential
+    like a scalar loop's."""
+    if starts.size == 1:
+        return np.cumsum(vals, axis=0)
+    lens = np.diff(starts, append=vals.shape[0])
+    exps = np.frexp(lens - 1)[1]  # 2**exps: the least power of two >= lens
+    out = np.empty_like(vals)
+    for e in np.flatnonzero(np.bincount(exps)).tolist():  # (np.unique imports numpy.ma)
+        g, width = np.flatnonzero(exps == e), 1 << e
+        live = np.arange(width) < lens[g, None]
+        idx = (starts[g, None] + np.arange(width))[live]
+        block = np.zeros((g.size, width) + vals.shape[1:])
+        block[live] = vals[idx]
+        out[idx] = np.cumsum(block, axis=1)[live]
+    return out
+
+
+def _mix(pred, counts, total, logs) -> np.ndarray:
+    """One leaf-to-root mixture step over rows: each row's node KT row, mixed
+    with the deeper levels' row pred (None at the leaf) by the node's weight
+    alpha = P_e / (2 P_w). An unvisited node has zero state and only uniform
+    rows below: it mixes the uniform row with itself, exactly as a skip."""
+    kt = (counts + 0.5) / (total + 0.5 * counts.shape[1])[:, None]
+    if pred is None:
+        return kt
+    alpha = np.minimum(_exp2(-1.0 + logs[:, 0] - logs[:, 2]), 1.0)[:, None]  # clip rounding
+    kt *= alpha
+    kt += (1.0 - alpha) * pred
+    return kt
+
+
+def _normalized(pred: np.ndarray) -> np.ndarray:
+    """Rows divided by their sums, each summed left to right."""
+    return pred / reduce(np.add, pred.T)[:, None]
+
+
 class ContextTree:
     """CTW predictor state over a ContextSchema.
 
-    Per-node lists are indexed by slot; one dict maps node keys (see
+    Per-node arrays are indexed by slot; one dict maps node keys (see
     ContextSchema.key_layout) to slots, which the first observation through
-    a node allocates. Single-writer value: observe() and step() mutate in
+    a node allocates. Single-writer value: observe() and update() mutate in
     place; predict() is read-only.
     """
 
@@ -173,16 +225,25 @@ class ContextTree:
         self._sizes = schema.level_sizes()
         self._offsets, self._weights = schema.key_layout()
         self._slot: dict[int, int] = {}
-        self._counts: list[list[int]] = []
-        self._total: list[int] = []
-        self._log_pe: list[float] = []
-        self._log_pw: list[float] = []
-        self._child_lpw: list[float] = []
-        self._update([0], [None], None)  # the root
+        self._counts = np.zeros((0, self._m), dtype=np.int64)
+        self._total = np.zeros(0, dtype=np.int64)
+        self._logs = np.zeros((0, 3))  # per slot: log_pe, child_lpw (sum of children's), log_pw
+        self._slots([0])  # the root
 
     @property
     def nodes_allocated(self) -> int:
-        return len(self._total)
+        return len(self._slot)
+
+    def _slots(self, keys: list) -> np.ndarray:
+        """Slots of node keys; new keys get zeroed slots (the arrays double)."""
+        out = np.array([self._slot.setdefault(k, len(self._slot)) for k in keys], dtype=np.int64)
+        if len(self._slot) > self._total.size:
+            grow = max(len(self._slot) - self._total.size, self._total.size)
+            self._counts, self._total, self._logs = (
+                np.concatenate([a, np.zeros((grow,) + a.shape[1:], a.dtype)])
+                for a in (self._counts, self._total, self._logs)
+            )
+        return out
 
     def _context_keys(self, context) -> list[int]:
         """Key path (root first) of a validated per-context tuple."""
@@ -211,8 +272,12 @@ class ContextTree:
         hypothetically appending each candidate symbol; entries are strictly
         positive.
         """
-        slots = list(map(self._slot.get, self._context_keys(context)))
-        return ProbDist(self.schema.target_alphabet, np.array(self._mix(slots)))
+        keys = self._context_keys(context)
+        slots = [s for s in map(self._slot.get, keys) if s is not None]  # a visited prefix
+        pred = None if len(slots) == len(keys) else np.full((1, self._m), 1.0 / self._m)
+        for s in slots[::-1]:
+            pred = _mix(pred, self._counts[[s]], self._total[[s]], self._logs[[s]])
+        return ProbDist(self.schema.target_alphabet, _normalized(pred)[0])
 
     def observe(self, context, symbol: int) -> None:
         """Record symbol under context, updating counts and log-probabilities
@@ -221,81 +286,69 @@ class ContextTree:
         sym = int(symbol)
         if not (0 <= sym < self._m):
             raise ValueError(f"symbol {sym} out of target alphabet")
-        self._update(keys, list(map(self._slot.get, keys)), sym)
+        self.update(np.array([keys]), np.array([sym]))
 
-    def step(self, keys: list[int], symbol: int) -> list[float]:
-        """Predict, then observe symbol, on one unchecked key path from
-        ContextSchema.key_paths (the caller validates its streams once)."""
-        slots = list(map(self._slot.get, keys))
-        pred = self._mix(slots)
-        self._update(keys, slots, symbol)
-        return pred
+    def update(self, keys: np.ndarray, symbols) -> np.ndarray:
+        """Predict, then observe, each row of a block: keys is a (rows,
+        depth + 1) block from ContextSchema.key_paths and symbols the rows'
+        target symbols, both unchecked (the caller validates its streams
+        once). Returns the (rows, m) predictive laws, each taken before its
+        row's symbol, bit for bit those of a row-by-row walk.
 
-    def _mix(self, slots: list) -> list[float]:
-        """Leaf-to-root mixture of KT rows along a slot path."""
-        m = self._m
-        half_m = 0.5 * m
-        counts, total = self._counts, self._total
-        s = slots[-1]
-        if s is None:
-            pred = [1.0 / m] * m
-        else:
-            denom = total[s] + half_m
-            pred = [(c + 0.5) / denom for c in counts[s]]
-        for s in slots[-2::-1]:
-            if s is None:
-                # empty subtree: both mixture components are uniform
-                continue
-            alpha = 2.0 ** (_LOG2_HALF + self._log_pe[s] - self._log_pw[s])
-            if alpha > 1.0:  # rounding; a power of two is never negative
-                alpha = 1.0
-            beta = 1.0 - alpha
-            denom = total[s] + half_m
-            pred = [alpha * ((c + 0.5) / denom) + beta * p for c, p in zip(counts[s], pred)]
-        norm = sum(pred)
-        return [p / norm for p in pred]
-
-    def _update(self, keys: list[int], slots: list, sym: Optional[int]) -> None:
-        """Allocate the path's missing slots, then fold sym (unless None)
-        into every node on the path, leaf first."""
-        if None in slots:
-            for j, s in enumerate(slots):
-                if s is None:
-                    slots[j] = self._slot[keys[j]] = len(self._total)
-                    self._counts.append([0] * self._m)
-                    self._total.append(0)
-                    for values in (self._log_pe, self._log_pw, self._child_lpw):
-                        values.append(0.0)
-        if sym is None:
-            return
-        log2 = math.log2
-        half_m = 0.5 * self._m
-        counts, total = self._counts, self._total
-        log_pe, log_pw, child_lpw = self._log_pe, self._log_pw, self._child_lpw
-        depth = self._depth
-        delta = 0.0
-        for level in range(depth, -1, -1):
-            s = slots[level]
-            cs = counts[s]
-            log_pe[s] += log2((cs[sym] + 0.5) / (total[s] + half_m))
-            cs[sym] += 1
-            total[s] += 1
-            old_lpw = log_pw[s]
-            if level == depth:
-                log_pw[s] = log_pe[s]
+        The sweep runs level by level, leaf to root. A stable sort groups
+        each level's rows by node in row order; counts are running counts
+        and log_pe and child_lpw running sums that start from the stored
+        values, so every addition comes in the order of the row-by-row walk.
+        Each row's change of a node's log_pw is added into its parent's
+        child_lpw, and the mixture row is carried up alongside."""
+        hits = np.asarray(symbols)[:, None] == np.arange(self._m)  # one-hot rows
+        rows, m = hits.shape
+        at = np.arange(rows)
+        pred = delta = None
+        for level in range(self._depth, -1, -1):
+            col = keys[:, level]
+            span = self._offsets[level + 1] - self._offsets[level]
+            if span <= 1 << 16:  # a small code: numpy's stable sort is then a radix sort
+                col = (col - self._offsets[level]).astype(np.uint16)
+            order = np.argsort(col, kind="stable")
+            col, h = col[order], hits[order]
+            new = np.concatenate([[True], col[1:] != col[:-1]])
+            starts = np.flatnonzero(new)
+            last = np.concatenate([starts[1:], [rows]]) - 1
+            group = np.cumsum(new) - 1
+            slots = self._slots(keys[order[starts], level].tolist())
+            counts = np.cumsum(h, axis=0) - h  # running counts before each row
+            counts += (self._counts[slots] - counts[starts])[group]
+            total = (self._total[slots] - starts)[group] + at
+            stored = self._logs[slots]
+            logs = np.zeros((rows, 3))  # each row's logs after it
+            logs[:, 0] = _log2((counts[h] + 0.5) / (total + 0.5 * m))  # the KT log-terms
+            if level < self._depth:
+                logs[:, 1] = delta[order]
+            logs[starts, :2] += stored[:, :2]
+            logs[:, :2] = _running_sums(logs[:, :2], starts)
+            if level == self._depth:
+                logs[:, 2] = logs[:, 0]
             else:
-                child_lpw[s] += delta
                 # log2(2**a + 2**b) for the two halves of the mixture
-                a, b = _LOG2_HALF + log_pe[s], _LOG2_HALF + child_lpw[s]
-                if a < b:
-                    a, b = b, a
-                log_pw[s] = a + log2(1.0 + 2.0 ** (b - a))
-            delta = log_pw[s] - old_lpw
+                a, b = -1.0 + logs[:, 0], -1.0 + logs[:, 1]
+                hi, lo = np.maximum(a, b), np.minimum(a, b)
+                logs[:, 2] = hi + _log2(1.0 + _exp2(lo - hi))
+            # each row's logs before it: its group's previous row, or the stored values
+            before = np.concatenate([logs[-1:], logs[:-1]])
+            before[starts] = stored
+            mixed = _mix(None if pred is None else pred[order], counts, total, before)
+            pred, delta = np.empty((rows, m)), np.empty(rows)
+            pred[order], delta[order] = mixed, logs[:, 2] - before[:, 2]
+            self._counts[slots] = counts[last] + h[last]
+            self._total[slots] = total[last] + 1
+            self._logs[slots] = logs[last]
+        return _normalized(pred)
 
     @property
     def log2_block_probability(self) -> float:
         """log2 of the root weighted probability of everything observed."""
-        return self._log_pw[0]
+        return float(self._logs[0, 2])
 
     def nodes(self):
         """Yield (path, slot) pairs in deterministic depth-first order; a path
@@ -318,7 +371,7 @@ class ContextTree:
         for path, s in self.nodes():
             assert self._total[s] == sum(self._counts[s]), "total mismatch with counts"
             if len(path) == self._depth:
-                assert abs(self._log_pw[s] - self._log_pe[s]) < 1e-12
+                assert abs(self._logs[s, 2] - self._logs[s, 0]) < 1e-12
             if path:
                 child_total[path[:-1]] = child_total.get(path[:-1], 0) + self._total[s]
         for path, s in self.nodes():
@@ -332,12 +385,12 @@ class ContextTree:
         fp.write(f"causalpath-ctw 1 {s.target_alphabet.size} {side} {s.depth} {s.staleness}\n")
         for path, slot in self.nodes():
             toks = ["~" if c is None else str(c) for c in path]
-            counts = ",".join(str(c) for c in self._counts[slot])
+            counts = ",".join(map(str, self._counts[slot].tolist()))
             fp.write(f"{'.'.join(toks) if toks else ''}|{counts}\n")
 
     @classmethod
     def load(cls, fp: IO[str]) -> "ContextTree":
-        """Replay each dumped leaf's counts through the update path; raises
+        """Replay the dumped leaves' counts as one block update; raises
         ValueError unless that rebuilds exactly the dumped nodes and counts."""
         header = fp.readline().split()
         if len(header) != 6 or header[0] != "causalpath-ctw" or header[1] != "1":
@@ -357,14 +410,13 @@ class ContextTree:
             if len(counts) != target.size:
                 raise ValueError("count record length mismatch")
             records[path] = counts
-        for path, counts in records.items():
-            if len(path) == tree._depth:
-                keys = tree._context_keys(path)
-                slots = list(map(tree._slot.get, keys))
-                for sym, c in enumerate(counts):
-                    for _ in range(c):
-                        tree._update(keys, slots, sym)
-        rebuilt = {path: tree._counts[s] for path, s in tree.nodes()}
+        leaves = [(tree._context_keys(p), c) for p, c in records.items() if len(p) == tree._depth]
+        if leaves:  # one block: leaf by leaf, each leaf's symbols in order
+            reps = np.array([c for _, c in leaves]).ravel()
+            keys = np.repeat(np.array([k for k, _ in leaves]), target.size, axis=0)
+            syms = np.arange(reps.size) % target.size
+            tree.update(np.repeat(keys, reps, axis=0), np.repeat(syms, reps))
+        rebuilt = {path: tree._counts[s].tolist() for path, s in tree.nodes()}
         if rebuilt != {**{(): [0] * target.size}, **records}:
             raise ValueError("tree dump is not consistent with its leaf counts")
         return tree

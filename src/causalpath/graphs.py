@@ -196,23 +196,20 @@ def classify_markovicity(
 
 def _max_side_pair_mi(model: JointMarkovModel, ih: int) -> float:
     """max over j < k <= i <= ih of I(Y_j ; Y_k | X^i) under the stationary
-    law, enumerated exactly on the length-ih unrolling."""
+    law, enumerated exactly on the length-i prefix law of the unrolling."""
     B, mx, my = model.pair_count, model.mx, model.my
     arr = _extended_window_dist(model, ih)  # most recent time ih in low digit
-    paths = np.arange(B**ih)
-    ydig = np.empty((ih, B**ih), dtype=np.int64)
-    xcode = np.zeros(B**ih, dtype=np.int64)  # code of x^i, one digit more per i
     worst = 0.0
     for i in range(1, ih + 1):
-        pair = (paths // B ** (ih - i)) % B
-        ydig[i - 1] = pair // mx
-        xcode = xcode * mx + pair % mx
+        law = arr.reshape(B**i, -1).sum(axis=1)  # summed over the newest ih - i steps
+        paths, ydig, xcode = np.arange(B**i), [], 0
+        for shift in range(i - 1, -1, -1):  # times 1 .. i, oldest in the high digit
+            pair = (paths // B**shift) % B
+            ydig.append((pair // mx).astype(np.min_scalar_type(my - 1)))  # i rows kept: narrow
+            xcode = xcode * mx + pair % mx
         for j, k in combinations(range(1, i + 1), 2):
-            flat = ydig[j - 1] * my  # (y_j, y_k, x^i) code, built in place
-            flat += ydig[k - 1]
-            flat *= mx**i
-            flat += xcode
-            joint = np.bincount(flat, weights=arr, minlength=my * my * mx**i)
+            flat = (ydig[j - 1] * np.int64(my) + ydig[k - 1]) * mx**i + xcode  # (y_j, y_k, x^i)
+            joint = np.bincount(flat, weights=law, minlength=my * my * mx**i)
             worst = max(worst, _cmi_table(joint.reshape(my, my, mx**i)))
     return worst
 

@@ -178,13 +178,15 @@ def read_symbol_csv(path, alphabet: Optional[Alphabet] = None) -> SymbolSeq:
     """Read the 'symbol' column; the alphabet is inferred from the data
     (at least binary) unless given."""
     with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames is None or "symbol" not in [
-            f.strip().lower() for f in reader.fieldnames
-        ]:
+        reader = csv.reader(fp)
+        header = [f.strip().lower() for f in next((r for r in reader if r), [])]
+        if "symbol" not in header:
             raise ValueError(f"{path}: need a 'symbol' column")
-        key = next(f for f in reader.fieldnames if f.strip().lower() == "symbol")
-        symbols = [int(row[key]) for row in reader]
+        col = header.index("symbol")
+        try:
+            symbols = [int(row[col]) for row in reader if row]
+        except IndexError:
+            raise ValueError(f"{path}: a row has no 'symbol' field") from None
     if not symbols:
         raise ValueError(f"{path}: no symbols")
     if alphabet is None:

@@ -31,6 +31,7 @@ from .core import Alphabet, SymbolSeq
 from .ctw import (
     ContextSchema,
     ContextTree,
+    _log2,
     regret_bound_plain,
     regret_bound_side_info,
 )
@@ -81,39 +82,30 @@ class CausalTrace:
     def __len__(self) -> int:
         return int(self.estimate_bits.size)
 
-    def write_csv(self, fp: IO[str]) -> None:
-        cols = ["i", "estimate_bits"]
+    def _columns(self, at: slice) -> dict:
+        """The exported columns of the steps in slice `at`, in order, as
+        Python lists; a NaN bound is None."""
+        cols = {"i": range(1, len(self) + 1)[at], "estimate_bits": self.estimate_bits[at].tolist()}
         if self.truth_bits is not None:
-            cols.append("truth_bits")
-        cols.append("c_i")
+            cols["truth_bits"] = self.truth_bits[at].tolist()
+        cols["c_i"] = self.c[at].tolist()
         if self.cum_abs_err is not None:
-            cols.append("cum_abs_err")
-        cols.append("cum_bound")
-        fp.write(",".join(cols) + "\n")
-        for i in range(len(self)):
-            row = [str(i + 1), f"{self.estimate_bits[i]:.12g}"]
-            if self.truth_bits is not None:
-                row.append(f"{self.truth_bits[i]:.12g}")
-            row.append(f"{self.c[i]:.12g}")
-            if self.cum_abs_err is not None:
-                row.append(f"{self.cum_abs_err[i]:.12g}")
-            b = self.cum_bound[i]
-            row.append("" if math.isnan(b) else f"{b:.12g}")
-            fp.write(",".join(row) + "\n")
+            cols["cum_abs_err"] = self.cum_abs_err[at].tolist()
+        cols["cum_bound"] = [None if math.isnan(b) else b for b in self.cum_bound[at].tolist()]
+        return cols
+
+    def write_csv(self, fp: IO[str]) -> None:
+        names = list(self._columns(slice(0)))
+        fp.write(",".join(names) + "\n")
+        row = "{}," + "{:.12g}," * (len(names) - 2) + "{}\n"
+        for lo in range(0, len(self), _CHUNK):  # one block of rows at a time bounds the lists
+            cols = self._columns(slice(lo, lo + _CHUNK))
+            bound = ["" if b is None else f"{b:.12g}" for b in cols.pop("cum_bound")]
+            fp.writelines(map(row.format, *cols.values(), bound))
 
     def to_records(self) -> list[dict]:
-        out = []
-        for i in range(len(self)):
-            rec: dict = {"i": i + 1, "estimate_bits": float(self.estimate_bits[i])}
-            if self.truth_bits is not None:
-                rec["truth_bits"] = float(self.truth_bits[i])
-            rec["c_i"] = float(self.c[i])
-            if self.cum_abs_err is not None:
-                rec["cum_abs_err"] = float(self.cum_abs_err[i])
-            b = float(self.cum_bound[i])
-            rec["cum_bound"] = None if math.isnan(b) else b
-            out.append(rec)
-        return out
+        cols = self._columns(slice(None))
+        return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
     def write_records(self, fp: IO[str]) -> None:
         fp.write(json.dumps({"type": "metadata", **self.metadata}) + "\n")
@@ -127,8 +119,8 @@ def abs_log_ratio_sum(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(np.log2(np.asarray(p)) - np.log2(np.asarray(q))).sum())
 
 
-# Steps per block in the dual run and the bound curve: bounds their temporaries.
-_CHUNK = 512
+# Steps per block of the bound curve, and of the dual run: bounds their temporaries.
+_CHUNK, _BLOCK = 512, 2048
 
 
 def causality_regret_bound(mc, mr, c_norm):
@@ -174,7 +166,7 @@ def bound_curve(schema_c: ContextSchema, schema_r: ContextSchema, cvec: np.ndarr
 
 
 def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_snapshots: bool):
-    """One predict-then-observe walk per tree and step; returns rows
+    """One block update per tree and block of positions; returns rows
     (estimate, c, complete and reference log-loss), snapshots, run stats."""
     t0 = time.perf_counter()
     n = xs.size
@@ -182,28 +174,18 @@ def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_sna
     tree_c, tree_r = ContextTree(schema_c), ContextTree(schema_r)
     cols = np.empty((4, n))
     snaps = (np.empty((n, mx)), np.empty((n, mx))) if keep_snapshots else None
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        syms = xs[lo:hi].tolist()
-        preds_c, preds_r = [], []
-        for keys_c, keys_r, sym in zip(
-            zip(*schema_c.key_paths(xs, ys, lo, hi).T.tolist()),
-            zip(*schema_r.key_paths(xs, ys, lo, hi).T.tolist()),
-            syms,
-        ):
-            preds_c += tree_c.step(keys_c, sym)
-            preds_r += tree_r.step(keys_r, sym)
-        pc, pr = np.array(preds_c).reshape(-1, mx), np.array(preds_r).reshape(-1, mx)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        syms = xs[lo:hi]
+        pc = tree_c.update(schema_c.key_paths(xs, ys, lo, hi), syms)
+        pr = tree_r.update(schema_r.key_paths(xs, ys, lo, hi), syms)
         ratios = np.log2(pc) - np.log2(pr)
         est = np.matmul(pc[:, None, :], ratios[:, :, None])[:, 0, 0]
         cols[0, lo:hi] = np.where(est < 0.0, 0.0, est)
         cols[1, lo:hi] = np.abs(ratios).sum(axis=1)
-        sym_at = [r * mx + s for r, s in enumerate(syms)]
-        cols[2, lo:hi] = [-math.log2(preds_c[j]) for j in sym_at]
-        cols[3, lo:hi] = [-math.log2(preds_r[j]) for j in sym_at]
+        cols[2:, lo:hi] = [-_log2(p[np.arange(hi - lo), syms]) for p in (pc, pr)]
         if snaps is not None:
-            snaps[0][lo:hi] = pc
-            snaps[1][lo:hi] = pr
+            snaps[0][lo:hi], snaps[1][lo:hi] = pc, pr
     elapsed = time.perf_counter() - t0
     return cols, snaps, {
         "nodes_allocated": {

@@ -141,6 +141,28 @@ class TestEstimate:
         assert run("estimate", "--x", tmp_path / "bad.csv", "--y", tmp_path / "y.csv",
                    "--model", mpath, "--out", tmp_path / "e") == 2
 
+    def test_metadata_records_alphabet_sources(self, tmp_path):
+        # the short streams use only 0/1, so an inferred alphabet is binary
+        mpath = tmp_path / "model.json"
+        bidirectional_model().save(mpath)
+        for name, symbols in (("x", [0, 1, 1, 0]), ("y", [1, 0, 0, 1])):
+            rows = [f"{i},{s}" for i, s in enumerate(symbols, 1)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["i,symbol"] + rows) + "\n")
+        streams = ["--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv"]
+        cases = [
+            ([], {"x": (2, "inferred"), "y": (2, "inferred")}),
+            (["--model", mpath], {"x": (3, "model"), "y": (3, "model")}),
+            (["--model", mpath, "--alphabet-y", 3], {"x": (3, "model"), "y": (3, "flag")}),
+            (["--alphabet-x", 5], {"x": (5, "flag"), "y": (2, "inferred")}),
+        ]
+        for i, (extra, expected) in enumerate(cases):
+            out = tmp_path / f"est_alpha{i}"
+            assert run("estimate", *streams, *extra, "--out", out) == 0
+            meta = json.loads((out / "metadata.json").read_text())
+            got = {k: (v["size"], v["source"]) for k, v in meta["alphabets"].items()}
+            assert got == expected
+            assert meta["trace_metadata"]["y_to_x"]["alphabet_x"] == expected["x"][0]
+
     def test_missing_input_file(self, tmp_path):
         assert run("estimate", "--x", tmp_path / "nope.csv", "--y", tmp_path / "nope.csv",
                    "--out", tmp_path / "e") == 2

@@ -466,3 +466,177 @@ class TestFlatStorage:
         with pytest.raises(ValueError, match="out of alphabet"):
             estimate_causal_trace(x, y, EstimatorConfig(B3, B3, depth=1))
         assert built == []
+
+
+class WalkTree:
+    """Test-local copy of the row-by-row CTW walk that the block update
+    replaced: per step, a leaf-to-root mixture over the key path's slots,
+    then a leaf-to-root fold of the symbol into every node on the path."""
+
+    def __init__(self, m, depth):
+        self.m, self.depth = m, depth
+        self.slot, self.counts, self.total = {}, [], []
+        self.log_pe, self.log_pw, self.child_lpw = [], [], []
+        self.fold([0], [None], None)
+
+    def step(self, keys, sym):
+        slots = list(map(self.slot.get, keys))
+        pred = self.mix(slots)
+        self.fold(keys, slots, sym)
+        return pred
+
+    def mix(self, slots):
+        m, half_m = self.m, 0.5 * self.m
+        s = slots[-1]
+        if s is None:
+            pred = [1.0 / m] * m
+        else:
+            pred = [(c + 0.5) / (self.total[s] + half_m) for c in self.counts[s]]
+        for s in slots[-2::-1]:
+            if s is None:
+                continue
+            alpha = 2.0 ** (-1.0 + self.log_pe[s] - self.log_pw[s])
+            if alpha > 1.0:
+                alpha = 1.0
+            beta = 1.0 - alpha
+            denom = self.total[s] + half_m
+            pred = [alpha * ((c + 0.5) / denom) + beta * p for c, p in zip(self.counts[s], pred)]
+        norm = sum(pred)
+        return [p / norm for p in pred]
+
+    def fold(self, keys, slots, sym):
+        for j, s in enumerate(slots):
+            if s is None:
+                slots[j] = self.slot[keys[j]] = len(self.total)
+                self.counts.append([0] * self.m)
+                self.total.append(0)
+                for values in (self.log_pe, self.log_pw, self.child_lpw):
+                    values.append(0.0)
+        if sym is None:
+            return
+        half_m = 0.5 * self.m
+        delta = 0.0
+        for level in range(self.depth, -1, -1):
+            s = slots[level]
+            cs = self.counts[s]
+            self.log_pe[s] += math.log2((cs[sym] + 0.5) / (self.total[s] + half_m))
+            cs[sym] += 1
+            self.total[s] += 1
+            old_lpw = self.log_pw[s]
+            if level == self.depth:
+                self.log_pw[s] = self.log_pe[s]
+            else:
+                self.child_lpw[s] += delta
+                a, b = -1.0 + self.log_pe[s], -1.0 + self.child_lpw[s]
+                if a < b:
+                    a, b = b, a
+                self.log_pw[s] = a + math.log2(1.0 + 2.0 ** (b - a))
+            delta = self.log_pw[s] - old_lpw
+
+
+def block_schemas(m, d):
+    ax = Alphabet(m)
+    return {
+        "plain": ContextSchema(ax, None, d, 0),
+        "coupled": ContextSchema(ax, ax, d, 0),
+        "stale": ContextSchema(ax, ax, d, 1),
+    }
+
+
+def run_blocks(schema, x, y, rows):
+    """Predictions of a fresh tree fed the stream in blocks of `rows`."""
+    tree = ContextTree(schema)
+    preds = [
+        tree.update(schema.key_paths(x, y, lo, min(lo + rows, x.size)), x[lo : lo + rows])
+        for lo in range(0, x.size, rows)
+    ]
+    return tree, np.vstack(preds)
+
+
+def assert_same_state(tree, walk):
+    """Every node of the walk exists in the tree with bit-identical state."""
+    assert tree.nodes_allocated == len(walk.slot)
+    for key, w in walk.slot.items():
+        s = tree._slot[key]
+        assert tree._counts[s].tolist() == walk.counts[w]
+        assert tree._total[s] == walk.total[w]
+        assert tree._logs[s].tolist() == [walk.log_pe[w], walk.child_lpw[w], walk.log_pw[w]]
+
+
+class TestBlockUpdate:
+    """The level-sweep block update equals the row-by-row walk exactly."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_blocks_equal_walk(self, m, d):
+        rng = np.random.default_rng(10 * m + d)
+        n = 600
+        x = rng.integers(0, m, n)
+        x[200:260] = 0  # a long run: one node's group spans many rows
+        y = rng.integers(0, m, n)
+        for kind, schema in block_schemas(m, d).items():
+            if kind == "stale" and d == 0:
+                continue
+            walk = WalkTree(m, schema.total_depth)
+            keys = schema.key_paths(x, y).tolist()
+            expected = np.array([walk.step(keys[i], int(x[i])) for i in range(n)])
+            dumps = set()
+            for rows in (1, 7, 4096):
+                tree, got = run_blocks(schema, x, y, rows)
+                assert np.array_equal(got, expected), (kind, rows)
+                assert_same_state(tree, walk)
+                assert tree.log2_block_probability == walk.log_pw[0]
+                buf = io.StringIO()
+                tree.dump(buf)
+                dumps.add(buf.getvalue())
+            per_row = ContextTree(schema)
+            for i in range(n):
+                per_row.observe(schema.context_at(x, i, y), int(x[i]))
+            buf = io.StringIO()
+            per_row.dump(buf)
+            assert dumps == {buf.getvalue()}
+
+    def test_long_block_crosses_into_a_second(self):
+        # more rows than one block, so stored state carries across blocks
+        rng = np.random.default_rng(31)
+        n = 5000
+        x = rng.integers(0, 3, n)
+        y = rng.integers(0, 3, n)
+        schema = ContextSchema(B3, B3, 2, 0)
+        walk = WalkTree(3, 2)
+        keys = schema.key_paths(x, y).tolist()
+        expected = np.array([walk.step(keys[i], int(x[i])) for i in range(n)])
+        tree, got = run_blocks(schema, x, y, 4096)
+        assert np.array_equal(got, expected)
+        assert_same_state(tree, walk)
+
+    def test_object_key_space(self):
+        schema = ContextSchema(B3, B3, depth=20)
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 3, 60)
+        y = rng.integers(0, 3, 60)
+        keys = schema.key_paths(x, y)
+        assert keys.dtype == object and max(keys[-1]) > 2**63
+        walk = WalkTree(3, 20)
+        expected = np.array([walk.step(list(keys[i]), int(x[i])) for i in range(60)])
+        for rows in (1, 7, 4096):
+            tree, got = run_blocks(schema, x, y, rows)
+            assert np.array_equal(got, expected)
+            assert_same_state(tree, walk)
+
+    def test_predict_reads_the_current_state(self):
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 2, 300)
+        y = rng.integers(0, 2, 300)
+        schema = ContextSchema(B2, B2, 2, 1)
+        tree, _ = run_blocks(schema, x, y, 64)
+        walk = WalkTree(2, 3)
+        keys = schema.key_paths(x, y).tolist()
+        for i in range(300):
+            walk.step(keys[i], int(x[i]))
+        other = rng.integers(0, 2, (2, 300))  # partly unseen contexts
+        for xs, ys in ((x, y), (other[0], other[1])):
+            for i in range(300):
+                ctx = schema.context_at(xs, i, ys)
+                slots = list(map(walk.slot.get, tree._context_keys(ctx)))
+                assert tree.predict(ctx).probs.tolist() == walk.mix(slots)

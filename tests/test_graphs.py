@@ -181,3 +181,57 @@ class TestSoundness:
                     assert mi <= 1e-9
                     checked += 1
         assert checked >= 30
+
+
+def full_path_side_pair_mi(model, ih):
+    """Test-local copy of the enumeration over all B**ih paths that the
+    prefix-law version replaced."""
+    from itertools import combinations
+
+    from causalpath.graphs import _extended_window_dist
+    from causalpath.markov import _cmi_table
+
+    B, mx, my = model.pair_count, model.mx, model.my
+    arr = _extended_window_dist(model, ih)
+    paths = np.arange(B**ih)
+    ydig = np.empty((ih, B**ih), dtype=np.int64)
+    xcode = np.zeros(B**ih, dtype=np.int64)
+    worst = 0.0
+    for i in range(1, ih + 1):
+        pair = (paths // B ** (ih - i)) % B
+        ydig[i - 1] = pair // mx
+        xcode = xcode * mx + pair % mx
+        for j, k in combinations(range(1, i + 1), 2):
+            flat = (ydig[j - 1] * my + ydig[k - 1]) * mx**i + xcode
+            joint = np.bincount(flat, weights=arr, minlength=my * my * mx**i)
+            worst = max(worst, _cmi_table(joint.reshape(my, my, mx**i)))
+    return worst
+
+
+class TestSidePairMI:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            independent_model(),
+            unidirectional_model(),
+            bidirectional_model(),
+            cross_copy_model(0.05),
+            iid_influence_model(),
+        ],
+    )
+    def test_prefix_law_matches_full_enumeration(self, model):
+        from causalpath.graphs import _max_side_pair_mi
+
+        ih = 2 * model.order + 3
+        assert abs(_max_side_pair_mi(model, ih) - full_path_side_pair_mi(model, ih)) <= 1e-15
+
+    def test_random_models_same_value_and_branch(self):
+        from causalpath.graphs import _max_side_pair_mi
+
+        rng = np.random.default_rng(41)
+        for order, mx, my in ((1, 2, 2), (1, 3, 2), (2, 2, 2), (3, 2, 2)):
+            model = random_model(order, mx, my, rng)
+            ih = 2 * order + 3
+            ours, theirs = _max_side_pair_mi(model, ih), full_path_side_pair_mi(model, ih)
+            assert abs(ours - theirs) <= 1e-15
+            assert (ours <= EDGE_MI_THRESHOLD) == (theirs <= EDGE_MI_THRESHOLD)

@@ -194,3 +194,35 @@ class TestSymbolIO:
             write_symbol_csv(buf, seq)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "i,symbol\n1,0\n2,2\n3,1\n",
+            "\n Symbol ,date\n0,2020-01-01\n\n2,2020-01-02\n1,2020-01-03\n",  # blank lines, case
+            "date,SYMBOL,extra\n2020-01-01,0,x\n2020-01-02,2,y,z\n2020-01-03,1\n",
+        ],
+    )
+    def test_reads_the_symbol_column(self, tmp_path, text):
+        path = tmp_path / "sym.csv"
+        path.write_text(text)
+        back = read_symbol_csv(path)
+        assert list(back.data) == [0, 2, 1]
+        assert back.alphabet.size == 3
+        assert read_symbol_csv(path, Alphabet(5)).alphabet.size == 5
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "need a 'symbol' column"),
+            ("i,value\n1,0\n", "need a 'symbol' column"),
+            ("i,symbol\n", "no symbols"),
+            ("i,symbol\n1,x\n", "invalid literal"),
+            ("i,symbol\n1,0\n2\n", "no 'symbol' field"),
+        ],
+    )
+    def test_malformed_symbol_files(self, tmp_path, text, match):
+        path = tmp_path / "sym.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_symbol_csv(path)

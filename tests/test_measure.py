@@ -343,3 +343,50 @@ class TestExports:
         assert len(steps) == 40
         assert steps[3]["estimate_bits"] == pytest.approx(float(trace.estimate_bits[3]))
         assert steps[3]["truth_bits"] == pytest.approx(float(trace.truth_bits[3]))
+
+    @staticmethod
+    def _per_row_csv(trace):
+        """Test-local copy of the per-row exporter the column formatter replaced."""
+        cols = ["i", "estimate_bits"]
+        if trace.truth_bits is not None:
+            cols.append("truth_bits")
+        cols.append("c_i")
+        if trace.cum_abs_err is not None:
+            cols.append("cum_abs_err")
+        cols.append("cum_bound")
+        out = [",".join(cols) + "\n"]
+        for i in range(len(trace)):
+            row = [str(i + 1), f"{trace.estimate_bits[i]:.12g}"]
+            if trace.truth_bits is not None:
+                row.append(f"{trace.truth_bits[i]:.12g}")
+            row.append(f"{trace.c[i]:.12g}")
+            if trace.cum_abs_err is not None:
+                row.append(f"{trace.cum_abs_err[i]:.12g}")
+            b = trace.cum_bound[i]
+            row.append("" if math.isnan(b) else f"{b:.12g}")
+            out.append(",".join(row) + "\n")
+        return "".join(out)
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_column_export_matches_per_row_export(self, with_truth):
+        m = unidirectional_model()
+        x, y = simulate(m, 700, seed=21)  # the bound starts at step 9
+        trace = estimate_causal_trace(
+            x, y, ternary_config(depth=1), truth_model=m if with_truth else None
+        )
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        assert buf.getvalue() == self._per_row_csv(trace)
+        records = trace.to_records()
+        assert len(records) == 700
+        for i in (0, 7, 8, 699):
+            rec = records[i]
+            assert list(rec) == self._per_row_csv(trace).splitlines()[0].split(",")
+            assert rec["i"] == i + 1 and type(rec["i"]) is int
+            assert rec["estimate_bits"] == float(trace.estimate_bits[i])
+            assert rec["c_i"] == float(trace.c[i])
+            bound = float(trace.cum_bound[i])
+            assert rec["cum_bound"] == (None if math.isnan(bound) else bound)
+            if with_truth:
+                assert rec["truth_bits"] == float(trace.truth_bits[i])
+                assert rec["cum_abs_err"] == float(trace.cum_abs_err[i])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -54,8 +55,9 @@ class QuantizerSpec:
     threshold: float = 0.008
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        # written so that NaN fails
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 
 
 def load_price_csv(path) -> PriceSeries:

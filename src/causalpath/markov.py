@@ -393,31 +393,34 @@ class RestrictedFilter:
         return ProbDist(m.alphabet_x, probs)
 
     def observe(self, symbol: int) -> None:
-        m = self.model
         sym = int(symbol)
-        if not (0 <= sym < m.mx):
+        if not (0 <= sym < self.model.mx):
             raise ValueError("symbol out of alphabet")
-        if self._i >= m.order:
-            self._run([sym])
-            return
-        if _initial_conditional(m, self._i, 0)[self._xwin, sym] <= 0.0:
-            raise ValueError("model cannot produce the observed sequence")
-        self._xwin = sym + m.mx * self._xwin
-        self._i += 1
-        if self._i == m.order:
-            beta = m.initial[self._pairidx[self._xwin]]
-            self._beta = beta / beta.sum()
+        self._run([sym])
 
-    def _run(self, symbols: list) -> np.ndarray:
-        """Predict, then observe, each symbol in turn past the initial window;
-        returns the predictive laws as rows. The caller checks the symbols'
-        range."""
-        mx, ny = self.model.mx, self.model.my**self.model.order
-        keep = mx ** (self.model.order - 1)
+    def _run(self, symbols) -> np.ndarray:
+        """Predict, then observe, each symbol in turn; returns the predictive
+        laws as rows. Inside the initial window a law is the conditional of
+        the initial window law, past it one product with the x-window's table.
+        The caller checks the symbols' range."""
+        m = self.model
+        d, mx, ny = m.order, m.mx, m.my**m.order
+        out = np.empty((len(symbols), mx))
+        head = min(max(d - self._i, 0), len(symbols))  # steps inside the initial window
+        for j in range(head):
+            out[j] = _initial_conditional(m, self._i, 0)[self._xwin]
+            if out[j, symbols[j]] <= 0.0:
+                raise ValueError("model cannot produce the observed sequence")
+            self._xwin = symbols[j] + mx * self._xwin
+            self._i += 1
+            if self._i == d:
+                beta = m.initial[self._pairidx[self._xwin]]
+                self._beta = beta / beta.sum()
+        keep = mx ** (d - 1)
         posterior = [slice(mx + s * ny, mx + (s + 1) * ny) for s in range(mx)]
         tables, beta, xwin = self._tables, self._beta, self._xwin
-        out = np.empty((len(symbols), mx))
-        for j, s in enumerate(symbols):
+        for j in range(head, len(symbols)):
+            s = symbols[j]
             v = beta.dot(tables[xwin])
             out[j] = v[:mx]
             ps = v[s]
@@ -426,8 +429,8 @@ class RestrictedFilter:
             beta = v[posterior[s]] / ps
             xwin = s + mx * (xwin % keep)
         self._beta, self._xwin = beta, xwin
-        self._i += len(symbols)
-        out /= out.sum(axis=1, keepdims=True)
+        self._i += len(symbols) - head
+        out[head:] /= out[head:].sum(axis=1, keepdims=True)
         return out
 
 
@@ -558,15 +561,12 @@ def _hidden_side_dist(model: JointMarkovModel, xs, ys, from_initial: bool) -> Pr
 def true_causal_measure(model: JointMarkovModel, x_hist, y_hist) -> float:
     """KL (bits) from the restricted to the complete next-step distribution
     of X at the realized history."""
-    xs, ys = _as_array(x_hist), _as_array(y_hist)
-    if len(xs) != len(ys):
-        raise ValueError("histories must have equal length")
+    xs, ys = _path_pair(model, x_hist, y_hist)
     if len(xs) < model.order:
         raise ValueError("history shorter than the model order")
     complete = true_complete_dist(model, xs[-model.order :], ys[-model.order :])
     filt = RestrictedFilter(model)
-    for s in xs:
-        filt.observe(int(s))
+    filt._run(xs.tolist())
     return kl_divergence(complete, filt.predict())
 
 
@@ -633,11 +633,7 @@ def causal_measure_path(model: JointMarkovModel, x_hist, y_hist) -> np.ndarray:
     xs, ys = _path_pair(model, x_hist, y_hist)
     complete = _complete_rows(model, xs, ys)
     filt = RestrictedFilter(model)
-    head = []
-    for s in xs[: model.order]:  # the initial window, through the checked wrappers
-        head.append(filt.predict().probs)
-        filt.observe(s)
-    return _kl_path(complete, head, lambda lo, hi: filt._run(xs[lo:hi].tolist()))
+    return _kl_path(complete, [], lambda lo, hi: filt._run(xs[lo:hi].tolist()))
 
 
 def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.ndarray:
@@ -665,68 +661,39 @@ def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.
 # -- stationary analysis -------------------------------------------------------------
 
 
-def _window_transition_matrix(model: JointMarkovModel) -> np.ndarray:
-    W, B = model.num_windows, model.pair_count
-    T = np.zeros((W, W))
-    P = model.pair_transition
-    for w in range(W):
-        base = B * (w % B ** (model.order - 1))
-        T[w, base : base + B] += P[w]
-    return T
-
-
-def _period_of_strongly_connected(adj: list[np.ndarray]) -> int:
-    """gcd of cycle-length differences via BFS layering (graph must be
-    strongly connected)."""
-    n = len(adj)
-    dist = [-1] * n
-    dist[0] = 0
-    order = [0]
-    head = 0
-    g = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-            else:
-                g = math.gcd(g, dist[u] + 1 - dist[v])
-    return abs(g)
-
-
 def stationary_distribution(model: JointMarkovModel) -> StationaryDist:
     """Invariant distribution of the lifted window chain.
 
-    Raises NonErgodicError when the positive-transition digraph is not
-    strongly connected, the chain is periodic, or the linear solve fails to
-    reach residual 1e-10.
+    Window w moves to nxt[w, pair] = B * (w mod B**(d-1)) + pair with
+    probability P[w, pair]; this (W, B) successor table fills the dense
+    transition matrix and drives the ergodicity checks. Raises
+    NonErgodicError when the positive-transition digraph is not strongly
+    connected, the chain is periodic, or the linear solve fails to reach
+    residual 1e-10.
     """
-    T = _window_transition_matrix(model)
-    W = T.shape[0]
-    adj = [np.nonzero(T[w] > 0.0)[0] for w in range(W)]
-    radj: list[list[int]] = [[] for _ in range(W)]
-    for u in range(W):
-        for v in adj[u]:
-            radj[int(v)].append(u)
+    W, B, P = model.num_windows, model.pair_count, model.pair_transition
+    wins = np.arange(W)
+    nxt = B * (wins % B ** (model.order - 1))[:, None] + np.arange(B)
+    move = P > 0.0
 
-    def reaches_all(graph) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in graph[u]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == W
+    def levels(step) -> np.ndarray:
+        """Breadth-first levels from window 0, -1 where never reached; step
+        maps the mask of reached windows to the windows one move on."""
+        dist = np.full(W, -1)
+        dist[0] = 0
+        while (new := step(dist >= 0) & (dist < 0)).any():
+            dist[new] = dist.max() + 1
+        return dist
 
-    if not (reaches_all(adj) and reaches_all(radj)):
+    dist = levels(lambda seen: np.bincount(nxt[move & seen[:, None]], minlength=W) > 0)
+    back = levels(lambda seen: (move & seen[nxt]).any(axis=1))
+    if dist.min() < 0 or back.min() < 0:
         raise NonErgodicError("window chain is not irreducible")
-    if _period_of_strongly_connected(adj) != 1:
+    # the period is the gcd of the level differences over all moves
+    if np.gcd.reduce((dist[:, None] + 1 - dist[nxt])[move]) != 1:
         raise NonErgodicError("window chain is periodic")
+    T = np.zeros((W, W))
+    T[wins[:, None], nxt] = P
     A = T.T - np.eye(W)
     A[-1, :] = 1.0
     b = np.zeros(W)
@@ -750,11 +717,9 @@ def _extended_window_dist(model: JointMarkovModel, length: int) -> np.ndarray:
     if length < d:
         raise ValueError("extended window must be at least the order")
     arr = stationary_distribution(model).probs
-    P = model.pair_transition
     for _ in range(length - d):
-        mods = np.arange(arr.size) % B**d
         # flat index = old_window * B + new_pair: new pair in the lowest digit
-        arr = (arr[:, None] * P[mods]).ravel()
+        arr = (arr.reshape(-1, B**d)[:, :, None] * model.pair_transition).ravel()
     return arr
 
 
@@ -845,6 +810,8 @@ def mc_di_rate(
     """Monte Carlo directed-information rate: the average true causal measure
     along one simulated path, with a batch-means standard error."""
     d = model.order
+    if batches < 2:
+        raise ValueError("batches must be at least 2")
     if n < d + 2 * batches:
         raise ValueError("n too small for the requested number of batches")
     x, y = simulate(model, n, seed)
@@ -866,6 +833,8 @@ def _path_table(model: JointMarkovModel, n: int):
     so the length-j prefix of a path is its code divided by B**(n-j).
     """
     B = model.pair_count
+    if n < model.order:
+        raise ValueError(f"n must be at least the model order {model.order}")
     if B**n > _BRUTE_PATH_LIMIT:
         raise ValueError("horizon too large for exact enumeration")
     codes = np.arange(B**n)

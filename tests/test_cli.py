@@ -297,6 +297,12 @@ class TestStocks:
                      "summary_dj_to_hs.csv", "summary_hs_to_dj.csv"):
             assert (out / name).read_bytes() == (DATA / "golden" / name).read_bytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_threshold_is_input_error(self, tmp_path, bad):
+        assert run("stocks", "--prices-a", DATA / "prices_a.csv",
+                   "--prices-b", DATA / "prices_b.csv", "--threshold", bad,
+                   "--out", tmp_path / "s") == 2
+
     def test_occupancy_sums_to_hundred(self, tmp_path):
         out = tmp_path / "stocks2"
         run("stocks", "--prices-a", DATA / "prices_a.csv",

@@ -268,7 +268,11 @@ class TestRegretBounds:
 
 
 class TestRegretContainment:
-    """Realized regret against the in-class source never exceeds the bound."""
+    """Realized regret against the in-class source never exceeds the bound.
+
+    Each step's prediction is a row of one block update over the stream;
+    the first trial also steps the per-context predict/observe calls and
+    checks that they give those rows bit for bit."""
 
     def test_coupled_tree_on_twenty_seeded_models(self):
         rng = np.random.default_rng(77)
@@ -277,17 +281,15 @@ class TestRegretContainment:
             n = 2000
             x, y = simulate(model, n, seed=trial)
             sch_c = ContextSchema(B2, B2, depth=1, staleness=0)
-            tree_c = ContextTree(sch_c)
+            laws = ContextTree(sch_c).update(sch_c.key_paths(x.data, y.data), x.data)
+            if trial == 0:
+                assert_per_context_rows(sch_c, x.data, y.data, laws)
             # realized regret sums start after the warm-up step
             reg_c = 0.0
-            for i in range(n):
-                ctx_c = sch_c.context_at(x.data, i, y.data)
-                pc = tree_c.predict(ctx_c).prob(int(x.data[i]))
-                if i >= 1:
-                    widx = model.window_index(x.data[i - 1 : i], y.data[i - 1 : i])
-                    reg_c += math.log2(model.kernel_x[widx, x.data[i]] / pc)
-                    assert reg_c <= regret_bound_side_info(2, 4, 5, max(i, 4))
-                tree_c.observe(ctx_c, int(x.data[i]))
+            for i in range(1, n):
+                widx = model.window_index(x.data[i - 1 : i], y.data[i - 1 : i])
+                reg_c += math.log2(model.kernel_x[widx, x.data[i]] / laws[i, x.data[i]])
+                assert reg_c <= regret_bound_side_info(2, 4, 5, max(i, 4))
 
     def test_plain_tree_on_marginally_markov_sources(self):
         # with an i.i.d. side process the target stays marginally first order,
@@ -303,19 +305,26 @@ class TestRegretContainment:
             n = 2000
             x, _ = simulate(model, n, seed=1000 + trial)
             sch = ContextSchema(B2, None, depth=1)
-            tree = ContextTree(sch)
+            laws = ContextTree(sch).update(sch.key_paths(x.data), x.data)
+            if trial == 0:
+                assert_per_context_rows(sch, x.data, None, laws)
             reg = 0.0
-            for i in range(n):
-                ctx = sch.context_at(x.data, i)
-                p = tree.predict(ctx).prob(int(x.data[i]))
-                if i >= 1:
-                    xm = int(x.data[i - 1])
-                    true_p = sum(
-                        ymarg[yv] * kx[xm + 2 * yv, x.data[i]] for yv in range(2)
-                    )
-                    reg += math.log2(true_p / p)
-                    assert reg <= regret_bound_plain(2, 2, max(i, 2))
-                tree.observe(ctx, int(x.data[i]))
+            for i in range(1, n):
+                xm = int(x.data[i - 1])
+                true_p = sum(
+                    ymarg[yv] * kx[xm + 2 * yv, x.data[i]] for yv in range(2)
+                )
+                reg += math.log2(true_p / laws[i, x.data[i]])
+                assert reg <= regret_bound_plain(2, 2, max(i, 2))
+
+
+def assert_per_context_rows(schema, x, y, laws, steps=200):
+    """The per-context predict-then-observe calls give the block's rows."""
+    tree = ContextTree(schema)
+    for i in range(steps):
+        ctx = schema.context_at(x, i, y)
+        assert np.array_equal(tree.predict(ctx).probs, laws[i])
+        tree.observe(ctx, int(x[i]))
 
 
 class TestSerialization:

@@ -138,6 +138,11 @@ class TestQuantize:
         with pytest.raises(ValueError):
             QuantizerSpec(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuantizerSpec(bad)
+
 
 class TestShift:
     def _pair(self, n=6):

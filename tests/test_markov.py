@@ -8,6 +8,7 @@ from causalpath.markov import (
     JointMarkovModel,
     NonErgodicError,
     RestrictedFilter,
+    StationaryDist,
     causal_measure_path,
     directed_information,
     exact_pdi_rate,
@@ -228,6 +229,38 @@ class TestRestrictedFilter:
         with pytest.raises(ValueError):
             filt.observe(1)
 
+    def test_impossible_symbol_inside_the_initial_window_raises(self):
+        # order 2: the initial law puts x = 0 at the newer window position,
+        # so a path with x = 1 there fails inside the initial window
+        m = random_model(2, 2, 2, np.random.default_rng(47))
+        init = m.initial * (m.window_x_positions[1] == 0)
+        m = JointMarkovModel(2, B2, B2, m.kernel_x, m.kernel_y, initial=init / init.sum())
+        with pytest.raises(ValueError, match="cannot produce"):
+            RestrictedFilter(m)._run([1, 1])
+        for xs in ([1, 1], [0, 1, 0], [1, 1, 0, 1]):
+            ys = [0] * len(xs)
+            with pytest.raises(ValueError):
+                causal_measure_path(m, xs, ys)
+            with pytest.raises(ValueError):
+                true_causal_measure(m, xs, ys)
+
+    @pytest.mark.parametrize("order,mx,my", [(1, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_one_run_equals_predict_then_observe(self, order, mx, my):
+        # one _run call over the path, initial window included, gives the
+        # rows and the state of the per-symbol calls bit for bit
+        m = random_model(order, mx, my, np.random.default_rng(48 + order))
+        x, _ = simulate(m, 40, seed=order)
+        stepped, whole = RestrictedFilter(m), RestrictedFilter(m)
+        rows = []
+        for s in x.data.tolist():
+            rows.append(stepped.predict().probs)
+            stepped.observe(s)
+        assert np.array_equal(whole._run(x.data.tolist()), np.array(rows))
+        assert np.array_equal(whole.predict().probs, stepped.predict().probs)
+        for length in range(order + 2):
+            want = np.array(rows[:length]).reshape(length, mx)
+            assert np.array_equal(RestrictedFilter(m)._run(x.data[:length].tolist()), want)
+
 
 class TestPartialDist:
     def test_matches_enumeration_oracle(self):
@@ -385,6 +418,120 @@ class TestStationary:
         with pytest.raises(NonErgodicError):
             stationary_distribution(m)
 
+    def test_matches_dense_build_and_graph_walks(self):
+        # scenarios, random sparse kernels and constructed periodic chains
+        rng = np.random.default_rng(90)
+        models = [scenario_model(name) for name in SCENARIO_NAMES]
+        for d in (1, 2):
+            for mx in (2, 3):
+                for my in (2, 3):
+                    for keep in [0.45, 0.7, 0.95] * 10:
+                        models.append(sparse_model(rng, d, mx, my, keep))
+        models += periodic_models()
+        outcomes = set()
+        for m in models:
+            want = stationary_outcome(dense_stationary, m)
+            got = stationary_outcome(stationary_distribution, m)
+            assert len(want) == len(got)
+            assert all(np.array_equal(a, b) for a, b in zip(want, got)), want
+            outcomes.add(want[0] if want[0] != NonErgodicError else want[1])
+        assert outcomes == {
+            StationaryDist,
+            "window chain is not irreducible",
+            "window chain is periodic",
+        }
+
+
+def dense_stationary(model):
+    """The stationary analysis as a dense transition matrix filled row by row,
+    with a depth-first reachability walk each way and a breadth-first
+    period walk."""
+    W, B = model.num_windows, model.pair_count
+    T = np.zeros((W, W))
+    for w in range(W):
+        base = B * (w % B ** (model.order - 1))
+        T[w, base : base + B] += model.pair_transition[w]
+    adj = [np.nonzero(T[w] > 0.0)[0] for w in range(W)]
+    radj = [[] for _ in range(W)]
+    for u in range(W):
+        for v in adj[u]:
+            radj[int(v)].append(u)
+
+    def reaches_all(graph):
+        seen, stack = {0}, [0]
+        while stack:
+            for v in graph[stack.pop()]:
+                if int(v) not in seen:
+                    seen.add(int(v))
+                    stack.append(int(v))
+        return len(seen) == W
+
+    if not (reaches_all(adj) and reaches_all(radj)):
+        raise NonErgodicError("window chain is not irreducible")
+    dist, order, g = [-1] * W, [0], 0
+    dist[0] = 0
+    for u in order:
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+            else:
+                g = math.gcd(g, dist[u] + 1 - dist[v])
+    if abs(g) != 1:
+        raise NonErgodicError("window chain is periodic")
+    A = T.T - np.eye(W)
+    A[-1, :] = 1.0
+    b = np.zeros(W)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NonErgodicError(f"stationary solve failed: {exc}") from exc
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum()
+    residual = float(np.max(np.abs(pi @ T - pi)))
+    if residual > 1e-10:
+        raise NonErgodicError(f"stationary residual {residual} exceeds 1e-10")
+    return StationaryDist(pi, residual)
+
+
+def stationary_outcome(solve, model):
+    try:
+        st = solve(model)
+    except NonErgodicError as exc:
+        return NonErgodicError, str(exc)
+    return StationaryDist, st.probs, st.residual
+
+
+def sparse_rows(rng, rows, m, keep):
+    """Random kernel rows that keep each entry with probability keep (at
+    least one per row)."""
+    mask = rng.random((rows, m)) < keep
+    mask[np.arange(rows), rng.integers(0, m, rows)] = True
+    raw = rng.dirichlet(np.ones(m), size=rows) * mask
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def sparse_model(rng, d, mx, my, keep):
+    nwin = (mx * my) ** d
+    kx, ky = sparse_rows(rng, nwin, mx, keep), sparse_rows(rng, nwin, my, keep)
+    return JointMarkovModel(d, Alphabet(mx), Alphabet(my), kx, ky)
+
+
+def periodic_models():
+    """Chains whose target steps deterministically, x' = oldest x + 1 mod
+    mx, beside a free side process: period mx at order 1, period 4 for mx = 2
+    at order 2, and two separate cycles for mx = 3 at order 2."""
+    rng = np.random.default_rng(91)
+    out = []
+    for d, mx, my in ((1, 2, 2), (1, 3, 2), (1, 2, 3), (2, 2, 2), (2, 3, 2)):
+        nwin = (mx * my) ** d
+        oldest = (np.arange(nwin) // (mx * my) ** (d - 1)) % mx
+        kx = np.eye(mx)[(oldest + 1) % mx]
+        ky = sparse_rows(rng, nwin, my, 1.0)
+        out.append(JointMarkovModel(d, Alphabet(mx), Alphabet(my), kx, ky))
+    return out
+
 
 class TestRates:
     def test_independent_rates_zero(self):
@@ -436,6 +583,11 @@ class TestRates:
             assert est.stderr == float(means.std(ddof=1) / math.sqrt(batches))
             assert (est.steps, est.batches) == (n - m.order, batches)
 
+    @pytest.mark.parametrize("batches", [-1, 0, 1])
+    def test_batch_count_below_two_rejected(self, batches):
+        with pytest.raises(ValueError, match="batches"):
+            mc_di_rate(bidirectional_model(), 1000, seed=1, batches=batches)
+
     def test_pdi_monotone_toward_di(self):
         m = bidirectional_model()
         assert exact_pdi_rate(m, 1) <= exact_pdi_rate(m, 2) + 1e-12
@@ -468,6 +620,13 @@ class TestFiniteHorizonIdentity:
     def test_zero_for_independent(self):
         m = independent_model()
         assert expected_causal_sum(m, 3) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_horizon_below_order_rejected(self, n):
+        m = random_model(2, 2, 2, np.random.default_rng(71))
+        for exact in (directed_information, expected_causal_sum):
+            with pytest.raises(ValueError, match="order 2"):
+                exact(m, n)
 
 
 class TestModelIO:

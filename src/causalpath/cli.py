@@ -259,6 +259,11 @@ def _bound_curve_from_trace(trace_path: str, complete, reference) -> np.ndarray:
     if not rows or "c_i" not in rows[0]:
         raise ValueError(f"{trace_path}: not a trace export with a c_i column")
     c = np.array([float(r["c_i"]) for r in rows])
+    bad = np.flatnonzero(~np.isfinite(c) | (c < 0.0))
+    if bad.size:
+        raise ValueError(
+            f"{trace_path}: row {bad[0] + 1} has c_i = {c[bad[0]]}; need a finite value >= 0"
+        )
     _, mc, mr, bound = bound_curve(complete, reference, c)
     return np.column_stack([np.arange(1, c.size + 1), mc, mr, bound])
 

@@ -138,23 +138,22 @@ class ContextSchema:
         """Context for predicting position i (0-based) of the target stream.
 
         History positions before the start of the stream map to None (the
-        absent branch). Pair levels pack the side symbol as x + m_x * y.
+        absent branch). Pair levels pack the side symbol as x + m_x * y, each
+        symbol checked against its own alphabet first.
         """
         mx = self.target_alphabet.size
-        sizes = self.level_sizes()
+        my = 1 if self.side_alphabet is None else self.side_alphabet.size
         ctx = []
         for j in range(1, self.total_depth + 1):
             t = i - j
             if t < 0:
                 ctx.append(None)
-            elif self.side_alphabet is None or j <= self.staleness:
-                ctx.append(int(x[t]))
-            else:
-                ctx.append(int(x[t]) + mx * int(y[t]))
-        if any(
-            c is not None and not (0 <= c < sizes[j]) for j, c in enumerate(ctx)
-        ):
-            raise ValueError("context symbol out of range")
+                continue
+            pair = self.side_alphabet is not None and j > self.staleness
+            xs, ys = int(x[t]), int(y[t]) if pair else 0
+            if not (0 <= xs < mx and 0 <= ys < my):
+                raise ValueError("context symbol out of range")
+            ctx.append(xs + mx * ys)
         return tuple(ctx)
 
 

@@ -32,7 +32,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .markov import JointMarkovModel, _cmi_table, _extended_window_dist, _next_symbol_cmi
+from .markov import (
+    JointMarkovModel,
+    _cmi_table,
+    _extended_window_dist,
+    _group_code,
+    _next_symbol_cmi,
+)
 
 EDGE_MI_THRESHOLD = 1e-9
 
@@ -223,29 +229,16 @@ def nodeset_conditional_mi(
 ) -> float:
     """Exact I(A ; B | C) between node sets of the unrolled horizon, by full
     path enumeration under the stationary law (small instances only)."""
-    A, B_, C = list(a), list(b), list(c)
-    base, mx, my = model.pair_count, model.mx, model.my
+    A, B, C = list(a), list(b), list(c)
     arr = _extended_window_dist(model, horizon)
-    paths = np.arange(base**horizon)
-
-    def node_values(node: Node) -> tuple[np.ndarray, int]:
-        proc, t = node
-        if not (1 <= t <= horizon):
+    for node in A + B + C:
+        if not (1 <= node[1] <= horizon):
             raise ValueError(f"node {node} outside horizon")
-        pair = (paths // base ** (horizon - t)) % base
-        return (pair % mx, mx) if proc == "X" else (pair // mx, my)
-
-    def group_code(nodes: list[Node]) -> tuple[np.ndarray, int]:
-        code = np.zeros(paths.size, dtype=np.int64)
-        size = 1
-        for node in nodes:
-            vals, m = node_values(node)
-            code = code * m + vals
-            size *= m
-        return code, max(size, 1)
-
-    ca, na = group_code(A)
-    cb, nb = group_code(B_)
-    cc, nc = group_code(C)
+    paths = np.arange(model.pair_count**horizon)
+    # a path is a window of horizon pairs, time t at age horizon - t; the
+    # nodes go in reversed so that the first listed node is the top digit
+    (ca, na), (cb, nb), (cc, nc) = (
+        _group_code(model, paths, [(p, horizon - t) for p, t in reversed(g)]) for g in (A, B, C)
+    )
     joint = np.bincount((ca * nb + cb) * nc + cc, weights=arr, minlength=na * nb * nc)
     return _cmi_table(joint.reshape(na, nb, nc))

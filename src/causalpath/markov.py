@@ -22,9 +22,9 @@ module provides:
   batch-means standard errors, and exact finite-horizon enumeration
   identities.
 
-Window encoding: a window of pairs is an integer in base B = m_x * m_y with
-the most recent pair in the lowest digit; a pair packs as x + m_x * y. Model
-files use JSON with windows written oldest first.
+Window encoding: a window of pairs is an integer in base B = m_x * m_y, the
+most recent pair in the lowest digit (_codes encodes, _digits decodes); a
+pair packs as x + m_x * y. Model files (JSON) list windows oldest first.
 """
 
 from __future__ import annotations
@@ -52,6 +52,31 @@ def _as_array(seq) -> np.ndarray:
     if isinstance(seq, SymbolSeq):
         return seq.data
     return np.asarray(seq, dtype=np.int64)
+
+
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """Integer codes of base-`base` digits given oldest (most significant)
+    first along the last axis: Horner's rule, updated in place."""
+    out = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for j in range(digits.shape[-1]):
+        out *= base
+        out += digits[..., j]
+    return out
+
+
+def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Inverse of _codes: the `length` digits of each code, most significant
+    first along a new last axis."""
+    out = codes[..., None] // base ** np.arange(length - 1, -1, -1)
+    out %= base
+    return out
+
+
+def _check_symbols(model: JointMarkovModel, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise ValueError unless every target and side symbol is in its alphabet."""
+    for seq, m in ((xs, model.mx), (ys, model.my)):
+        if seq.size and (seq.min() < 0 or seq.max() >= m):
+            raise ValueError("symbol out of alphabet")
 
 
 @dataclass(frozen=True)
@@ -126,11 +151,7 @@ class JointMarkovModel:
             raise ValueError(f"window length must equal order {self.order}")
         if np.any((xw < 0) | (xw >= self.mx)) or np.any((yw < 0) | (yw >= self.my)):
             raise ValueError("window symbol out of alphabet range")
-        idx = 0
-        for j in range(self.order):
-            # most recent pair in the lowest digit
-            idx += self.pair_index(xw[-1 - j], yw[-1 - j]) * self.pair_count**j
-        return idx
+        return int(_codes(xw + self.mx * yw, self.pair_count))
 
     def decode_window(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of window_index; returns (x_window, y_window) oldest first."""
@@ -153,14 +174,8 @@ class JointMarkovModel:
         return self._win_y
 
     def _build_window_tables(self) -> None:
-        d, B = self.order, self.pair_count
-        idx = np.arange(self.num_windows)
-        self._win_x = np.empty((d, self.num_windows), dtype=np.int64)
-        self._win_y = np.empty((d, self.num_windows), dtype=np.int64)
-        for t in range(d):
-            pair = (idx // B ** (d - 1 - t)) % B
-            self._win_x[t] = pair % self.mx
-            self._win_y[t] = pair // self.mx
+        pairs = _digits(np.arange(self.num_windows), self.pair_count, self.order).T
+        self._win_x, self._win_y = pairs % self.mx, pairs // self.mx
 
     @property
     def pair_transition(self) -> np.ndarray:
@@ -258,11 +273,8 @@ class JointMarkovModel:
         kx = np.empty((nwin, self.my))
         ky = np.empty((nwin, self.mx))
         init = np.empty(nwin) if self.has_custom_initial else None
-        perm = np.zeros(nwin, dtype=np.int64)
-        for t in range(self.order):  # oldest pair first, so it ends in the top digit
-            perm = perm * self.pair_count + (
-                self.window_y_positions[t] + self.my * self.window_x_positions[t]
-            )
+        swapped_pairs = self.window_y_positions + self.my * self.window_x_positions
+        perm = _codes(swapped_pairs.T, self.pair_count)
         kx[perm] = self.kernel_y
         ky[perm] = self.kernel_x
         if init is not None:
@@ -366,13 +378,9 @@ class RestrictedFilter:
         self._beta: Optional[np.ndarray] = None  # posterior over y-windows once i >= d
         d, mx, my = model.order, model.mx, model.my
         ny = my**d
-        xcodes = np.arange(mx**d)
         ycodes = np.arange(ny)
-        widx = np.zeros((mx**d, ny), dtype=np.int64)
-        for j in range(d):
-            xd = (xcodes // mx**j) % mx
-            yd = (ycodes // my**j) % my
-            widx += (xd[:, None] + mx * yd[None, :]) * model.pair_count**j
+        xd, yd = _digits(np.arange(mx**d), mx, d), _digits(ycodes, my, d)
+        widx = _codes(xd[:, None] + mx * yd[None, :], model.pair_count)
         self._pairidx = widx
         kx, ky = model.kernel_x[widx], model.kernel_y[widx]
         table = np.zeros((mx**d, ny, mx * (1 + ny)))
@@ -464,8 +472,8 @@ def stale_history_dist(model: JointMarkovModel, x_hist, y_hist) -> ProbDist:
     size limit; intended as an independent oracle on short histories.
     """
     m = model
-    xs = _as_array(x_hist)
-    ys = _as_array(y_hist)
+    xs, ys = _as_array(x_hist), _as_array(y_hist)
+    _check_symbols(m, xs, ys)
     i1 = len(xs)  # number of observed target symbols
     s = len(ys)
     if s > i1:
@@ -502,8 +510,8 @@ def true_partial_dist(model: JointMarkovModel, x_window, y_window, k: int) -> Pr
     if k < 1:
         raise ValueError("staleness k must be >= 1")
     d = m.order
-    xs = _as_array(x_window)
-    ys = _as_array(y_window)
+    xs, ys = _as_array(x_window), _as_array(y_window)
+    _check_symbols(m, xs, ys)
     if len(xs) != d + k or len(ys) != d:
         raise ValueError(
             f"need x window of length d+k={d + k} and y window of length d={d}"
@@ -522,9 +530,7 @@ def _path_weights(model: JointMarkovModel, xdig, ydig, from_initial: bool):
     """
     d, B = model.order, model.pair_count
     pairs = xdig + model.mx * ydig
-    widx = np.zeros(pairs.shape[0], dtype=np.int64)
-    for j in range(d):
-        widx += pairs[:, d - 1 - j] * B**j
+    widx = _codes(pairs[:, :d], B)
     weights = model.initial[widx].copy() if from_initial else np.ones(widx.size)
     for t in range(d, pairs.shape[1]):
         weights *= model.kernel_x[widx, xdig[:, t]] * model.kernel_y[widx, ydig[:, t]]
@@ -542,11 +548,9 @@ def _hidden_side_dist(model: JointMarkovModel, xs, ys, from_initial: bool) -> Pr
         raise ValueError(
             f"brute-force enumeration of {paths} hidden paths exceeds the limit"
         )
-    codes = np.arange(paths)
     yfull = np.empty((paths, len(xs)), dtype=np.int64)
     yfull[:, :s] = ys
-    for j in range(hidden):
-        yfull[:, s + j] = (codes // my**j) % my
+    yfull[:, s:] = _digits(np.arange(paths), my, hidden)[:, ::-1]  # oldest in the low digit
     weights, widx = _path_weights(model, xs[None, :], yfull, from_initial)
     probs = weights @ model.kernel_x[widx]
     total = probs.sum()
@@ -574,9 +578,7 @@ def true_partial_causal_measure(
     model: JointMarkovModel, x_hist, y_hist, k: int
 ) -> float:
     """KL (bits) from the stale-history partial to the complete distribution."""
-    xs, ys = _as_array(x_hist), _as_array(y_hist)
-    if len(xs) != len(ys):
-        raise ValueError("histories must have equal length")
+    xs, ys = _path_pair(model, x_hist, y_hist)
     d = model.order
     if len(xs) < d + k:
         raise ValueError("history shorter than d+k")
@@ -591,9 +593,7 @@ def _path_pair(model: JointMarkovModel, x_hist, y_hist):
     xs, ys = _as_array(x_hist), _as_array(y_hist)
     if len(xs) != len(ys):
         raise ValueError("histories must have equal length")
-    for seq, m in ((xs, model.mx), (ys, model.my)):
-        if seq.size and (seq.min() < 0 or seq.max() >= m):
-            raise ValueError("symbol out of alphabet")
+    _check_symbols(model, xs, ys)
     return xs, ys
 
 
@@ -601,13 +601,12 @@ def _complete_rows(model: JointMarkovModel, xs, ys) -> np.ndarray:
     """The complete law of X at every step as an (n, mx) array: the
     initial-window conditional while i < d, then the kernel row of the last d
     pairs."""
-    d, B, n = model.order, model.pair_count, len(xs)
-    pairs = xs + model.mx * ys
-    # window of step i: pairs i-d..i-1, oldest in the top digit (in place)
-    widx = np.zeros(n, dtype=np.int64)
-    for u in range(d):
-        widx[d:] *= B
-        widx[d:] += pairs[u : n - d + u]
+    d, n = model.order, len(xs)
+    # window of step i: pairs i-d..i-1, after d leading zeros whose rows
+    # (steps i < d) are replaced below
+    pairs = np.zeros(n + d, dtype=np.int64)
+    np.add(xs, model.mx * ys, out=pairs[d:])
+    widx = _codes(np.lib.stride_tricks.sliding_window_view(pairs, d)[:n], model.pair_count)
     rows = model.kernel_x[widx]
     for t in range(min(d, n)):
         rows[t] = stale_history_dist(model, xs[:t], ys[:t]).probs
@@ -737,23 +736,26 @@ def _cmi_table(joint: np.ndarray) -> float:
     return max(math.fsum(terms), 0.0)
 
 
+def _group_code(model: JointMarkovModel, wins: np.ndarray, digits) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the listed (process, age) digits of each pair
+    window in wins (age 0 the most recent pair), the first listed digit
+    lowest, with the number of codes."""
+    B, mx = model.pair_count, model.mx
+    out, size = np.zeros(wins.size, dtype=np.int64), 1
+    for proc, age in digits:
+        pair = (wins // B**age) % B
+        out += (pair % mx if proc == "X" else pair // mx) * size
+        size *= mx if proc == "X" else model.my
+    return out, size
+
+
 def _next_symbol_cmi(model: JointMarkovModel, gamma: np.ndarray, side, cond) -> float:
     """I(next symbol ; side | cond) in bits from gamma, the joint law of a pair
     window (rows, most recent pair in the lowest digit) and the next symbol
     (columns). `side` and `cond` list window digits as (process, age), the
     process "X" or "Y" and age 0 the most recent pair."""
-    B, mx = model.pair_count, model.mx
     wins = np.arange(gamma.shape[0])
-
-    def code(digits):
-        out, size = np.zeros(wins.size, dtype=np.int64), 1
-        for proc, age in digits:
-            pair = (wins // B**age) % B
-            out += (pair % mx if proc == "X" else pair // mx) * size
-            size *= mx if proc == "X" else model.my
-        return out, size
-
-    (sc, ns), (cc, nc) = code(side), code(cond)
+    (sc, ns), (cc, nc) = _group_code(model, wins, side), _group_code(model, wins, cond)
     m = gamma.shape[1]
     flat = (sc[:, None] * m + np.arange(m)) * nc + cc[:, None]
     joint = np.bincount(flat.ravel(), weights=gamma.ravel(), minlength=ns * m * nc)
@@ -837,12 +839,8 @@ def _path_table(model: JointMarkovModel, n: int):
         raise ValueError(f"n must be at least the model order {model.order}")
     if B**n > _BRUTE_PATH_LIMIT:
         raise ValueError("horizon too large for exact enumeration")
-    codes = np.arange(B**n)
-    pairs = np.empty((B**n, n), dtype=np.int64)
-    for t in range(n):
-        pairs[:, t] = (codes // B ** (n - 1 - t)) % B
-    xdig = pairs % model.mx
-    ydig = pairs // model.mx
+    pairs = _digits(np.arange(B**n), B, n)
+    xdig, ydig = pairs % model.mx, pairs // model.mx
     prob, _ = _path_weights(model, xdig, ydig, from_initial=True)
     return prob, pairs, xdig, ydig
 
@@ -851,14 +849,10 @@ def directed_information(model: JointMarkovModel, n: int) -> float:
     """Finite-horizon directed information (bits) from the side process's
     strictly prior past to the target, as an entropy difference computed by
     exact enumeration: H(X^n) minus the causally conditional entropy."""
-    d, B = model.order, model.pair_count
+    d, B, mx = model.order, model.pair_count, model.mx
     prob, pairs, xdig, _ = _path_table(model, n)
     support = prob > 0.0
-    mx = model.mx
-    xcode = np.zeros(prob.size, dtype=np.int64)
-    for t in range(n):
-        xcode = xcode * mx + xdig[:, t]
-    px = np.bincount(xcode, weights=prob, minlength=mx**n)
+    px = np.bincount(_codes(xdig, mx), weights=prob, minlength=mx**n)
     hx = -math.fsum(p * math.log2(p) for p in px if p > 0.0)
     # complete per-step log-factors along each path
     loglik = np.zeros(prob.size)
@@ -868,9 +862,7 @@ def directed_information(model: JointMarkovModel, n: int) -> float:
         factor = init_cond[t][pref, xdig[:, t]]
         loglik[support] += np.log2(factor[support])
         pref = pref * B + pairs[:, t]
-    widx = np.zeros(prob.size, dtype=np.int64)
-    for j in range(d):
-        widx += pairs[:, d - 1 - j] * B**j
+    widx = _codes(pairs[:, :d], B)
     for t in range(d, n):
         factor = model.kernel_x[widx, xdig[:, t]]
         loglik[support] += np.log2(factor[support])
@@ -882,8 +874,7 @@ def directed_information(model: JointMarkovModel, n: int) -> float:
 def expected_causal_sum(model: JointMarkovModel, n: int) -> float:
     """Sum over i <= n of the expected causal measure E[KL(complete ||
     restricted)] at time i, by exact enumeration over histories."""
-    d, B = model.order, model.pair_count
-    mx = model.mx
+    d, B, mx = model.order, model.pair_count, model.mx
     prob, pairs, xdig, _ = _path_table(model, n)
     init_cond = [_initial_conditional(model, t, t) for t in range(d)]
     total_terms = []
@@ -901,9 +892,7 @@ def expected_causal_sum(model: JointMarkovModel, n: int) -> float:
         # restricted rows per history, from x-marginal prefix tables
         px_prev = np.bincount(xc, weights=prob, minlength=mx**t)
         px_next = np.bincount(xc * mx + xdig[:, t], weights=prob, minlength=mx ** (t + 1))
-        hx_digits = np.zeros(B**t, dtype=np.int64)
-        for u in range(t):
-            hx_digits = hx_digits * mx + ((hist // B ** (t - 1 - u)) % B) % mx
+        hx_digits = _codes(_digits(hist, B, t) % mx, mx)
         pnext = px_next.reshape(-1, mx)  # row: x-prefix code, column: next x
         h = np.nonzero(p_hist > 0.0)[0]
         kl = _kl_bits(crows[h], pnext[hx_digits[h]] / px_prev[hx_digits[h], None])

@@ -15,7 +15,7 @@ import pytest
 
 from causalpath.cli import main as cli_main
 from causalpath.core import Alphabet
-from causalpath.ctw import regret_bound_plain, regret_bound_side_info
+from causalpath.ctw import _log2, regret_bound_plain, regret_bound_side_info
 from causalpath.graphs import (
     build_unrolled_network,
     classify_markovicity,
@@ -149,24 +149,23 @@ def test_04_regret_bound_containment():
             for ncp in (100, 1000, 10_000):
                 assert cr[ncp - 1] / ncp <= trace.cum_bound[ncp - 1] / ncp
                 worst_frac = max(worst_frac, cr[ncp - 1] / trace.cum_bound[ncp - 1])
-            # per-predictor realized regret against the in-class truth
-            true_c = np.empty(10_000)
-            true_r = np.empty(10_000)
+            # per-predictor realized regret against the in-class truth: the
+            # restricted laws of one filter run, the first 200 also stepped
+            # one symbol at a time, and the complete laws at the order-1
+            # window codes; log-losses per element as math.log2 rounds them
+            xs, ys = x.data, y.data
+            rows = RestrictedFilter(model)._run(xs.tolist())
             filt = RestrictedFilter(model)
-            for i in range(10_000):
-                true_r[i] = -math.log2(filt.predict().prob(int(x.data[i])))
-                if i >= 1:
-                    w = model.window_index(x.data[i - 1 : i], y.data[i - 1 : i])
-                    true_c[i] = -math.log2(model.kernel_x[w, x.data[i]])
-                filt.observe(int(x.data[i]))
-            reg_c = np.cumsum(trace.logloss_complete[1:] - true_c[1:])
+            for i in range(200):
+                assert np.array_equal(filt.predict().probs, rows[i])
+                filt.observe(int(xs[i]))
+            true_r = -_log2(rows[np.arange(xs.size), xs])
+            true_c = -_log2(model.kernel_x[xs[:-1] + model.mx * ys[:-1], xs[1:]])
+            reg_c = np.cumsum(trace.logloss_complete[1:] - true_c)
             reg_r = np.cumsum(trace.logloss_reference[1:] - true_r[1:])
-            for i in range(1, 10_000):
-                n_pref = i + 1
-                if n_pref >= 9:
-                    assert reg_c[i - 1] <= regret_bound_side_info(3, 9, 10, n_pref)
-                if n_pref >= 3:
-                    assert reg_r[i - 1] <= regret_bound_plain(3, 3, n_pref)
+            n_pref = np.arange(2, 10_001)  # prefix length of each regret entry
+            assert np.all(reg_c[7:] <= regret_bound_side_info(3, 9, 10, n_pref[7:]))  # n >= 9
+            assert np.all(reg_r[1:] <= regret_bound_plain(3, 3, n_pref[1:]))  # n >= 3
     _report(
         4,
         "regret-bound containment",

@@ -246,6 +246,21 @@ class TestBounds:
                    "--trace", DATA / "trace_independent_y_to_x.csv", "--out", out) == 0
         assert (out / "bound_curve.csv").read_bytes() == (DATA / "golden" / golden).read_bytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
+    def test_non_finite_or_negative_c_i_is_input_error(self, tmp_path, capsys, bad):
+        lines = (DATA / "trace_independent_y_to_x.csv").read_text().splitlines()
+        col = lines[0].split(",").index("c_i")
+        row = lines[1].split(",")
+        row[col] = bad
+        lines[1] = ",".join(row)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bounds"
+        assert run("bounds", "--m", 3, "--d", 1, "--n", 120,
+                   "--trace", trace, "--out", out) == 2
+        assert "row 1 has c_i" in capsys.readouterr().err
+        assert not (out / "bound_curve.csv").exists()
+
 
 class TestDsep:
     @pytest.mark.parametrize(

@@ -232,6 +232,23 @@ class TestSchema:
         assert sch.context_at(x, 1, y) == (1, None)
         assert sch.context_at(x, 2, y) == (0, 1 + 2 * 0)
 
+    @pytest.mark.parametrize(
+        "schema,x,i,y",
+        [
+            # each would pack into the valid pair code of another pair
+            (ContextSchema(B2, B2, depth=1), [2], 1, [0]),
+            (ContextSchema(B2, B2, depth=1), [-1], 1, [1]),
+            (ContextSchema(B2, B2, depth=1, staleness=1), [3, 0], 2, [0, 0]),
+            (ContextSchema(B2, B2, depth=1, staleness=1), [1, 0], 2, [-1, 0]),
+            (ContextSchema(B2, None, depth=2), [0, 2], 2, None),
+        ],
+        ids=["coupled-x-too-large", "coupled-x-negative", "stale-x", "stale-y", "plain-x"],
+    )
+    def test_context_at_rejects_out_of_range_symbols(self, schema, x, i, y):
+        y = None if y is None else np.array(y)
+        with pytest.raises(ValueError, match="context symbol out of range"):
+            schema.context_at(np.array(x), i, y)
+
 
 class TestRegretBounds:
     def test_plain_values(self):

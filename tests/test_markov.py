@@ -328,6 +328,25 @@ class TestPartialDist:
         with pytest.raises(ValueError):
             true_partial_dist(m, [0, 1], [0, 1], 1)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    def test_brute_force_oracles_reject_out_of_range_symbols(self, bad):
+        # numpy would wrap -1 to the last symbol; in the last two calls the
+        # bad symbol sits where the order-1, k = 1 windows never read it
+        m = random_model(1, 2, 2, np.random.default_rng(56))
+        calls = [
+            lambda: stale_history_dist(m, [bad, 0], [0]),
+            lambda: stale_history_dist(m, [0, 0], [bad]),
+            lambda: stale_history_dist(m, [bad], []),
+            lambda: true_restricted_brute(m, [0, bad]),
+            lambda: true_partial_dist(m, [bad, 0], [0], 1),
+            lambda: true_partial_dist(m, [0, 0], [bad], 1),
+            lambda: true_partial_causal_measure(m, [bad, 0, 0], [0, 0, 0], 1),
+            lambda: true_partial_causal_measure(m, [0, 0, 0], [bad, 0, 0], 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="symbol out of alphabet"):
+                call()
+
 
 class TestCausalMeasure:
     def test_iid_influence_closed_form(self):

@@ -42,6 +42,16 @@ from .core import Alphabet, ProbDist, SymbolSeq, _kl_bits, kl_divergence
 _BRUTE_PATH_LIMIT = 2_000_000
 # Steps per block of simulation and of the KL along a path: bounds temporaries.
 _BLOCK = 512
+# Steps per span of the filter along a path: bounds temporaries.
+_SPAN = 2**16
+# The filter scan cuts a span into blocks of about sqrt(N) steps, never fewer
+# than _SCAN_MIN_BLOCK: the first block replays from the exact posterior with
+# the serial arithmetic, so a path's first 256 filtered steps agree bit for
+# bit with per-symbol stepping. Above _SCAN_MAX_NY hidden side windows a block
+# product (ny**3 per step) costs more than the serial steps it replaces, so
+# the span runs as one block.
+_SCAN_MIN_BLOCK = 256
+_SCAN_MAX_NY = 16
 
 
 class NonErgodicError(ValueError):
@@ -51,7 +61,11 @@ class NonErgodicError(ValueError):
 def _as_array(seq) -> np.ndarray:
     if isinstance(seq, SymbolSeq):
         return seq.data
-    return np.asarray(seq, dtype=np.int64)
+    arr = np.asarray(seq)
+    # a cast to int64 would truncate 1.9 to the symbol 1
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise ValueError("symbols must be integers")
+    return np.asarray(arr, dtype=np.int64)
 
 
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
@@ -366,9 +380,10 @@ class RestrictedFilter:
     probability under the model.
 
     Past the initial window a step is one product with a precomputed table of
-    the observed x-window: beta @ table holds the unnormalized predictive law
-    in its first mx columns, then per symbol s the unnormalized posterior
-    after s in a block of my**d columns, whose mass is the law's entry s.
+    the observed x-window and the symbol s observed next: beta @ table holds
+    the unnormalized predictive law in its first mx columns (the same for
+    every s), then the unnormalized posterior after s in my**d columns, whose
+    mass is the law's entry s.
     """
 
     def __init__(self, model: JointMarkovModel):
@@ -383,20 +398,22 @@ class RestrictedFilter:
         widx = _codes(xd[:, None] + mx * yd[None, :], model.pair_count)
         self._pairidx = widx
         kx, ky = model.kernel_x[widx], model.kernel_y[widx]
-        table = np.zeros((mx**d, ny, mx * (1 + ny)))
-        table[:, :, :mx] = kx
+        table = np.zeros((mx**d, mx, ny, mx + ny))
+        table[..., :mx] = kx[:, None]
         # y-code c = r + my**(d-1) * oldest moves to y_new + my * r
         shifted = (ycodes % my ** (d - 1))[:, None] * my + np.arange(my)
         for s in range(mx):
-            table[:, ycodes[:, None], mx + s * ny + shifted] = kx[:, :, s, None] * ky
-        self._tables = list(table)  # one (my**d, mx * (1 + my**d)) table per x-window
+            table[:, s, ycodes[:, None], mx + shifted] = kx[:, :, s, None] * ky
+        # one (my**d, mx + my**d) table per step code x-window * mx + symbol
+        self._steps = table.reshape(mx ** (d + 1), ny, mx + ny)
+        self._step_list = list(self._steps)
 
     def predict(self) -> ProbDist:
         m = self.model
         if self._i < m.order:
             probs = _initial_conditional(m, self._i, 0)[self._xwin]
         else:
-            probs = self._beta.dot(self._tables[self._xwin])[: m.mx]
+            probs = self._beta.dot(self._step_list[self._xwin * m.mx])[: m.mx]
             probs = probs / probs.sum()
         return ProbDist(m.alphabet_x, probs)
 
@@ -409,37 +426,109 @@ class RestrictedFilter:
     def _run(self, symbols) -> np.ndarray:
         """Predict, then observe, each symbol in turn; returns the predictive
         laws as rows. Inside the initial window a law is the conditional of
-        the initial window law, past it one product with the x-window's table.
-        The caller checks the symbols' range."""
+        the initial window law, past it one product with the step's table.
+        The caller checks the symbols' range.
+
+        The steps past the initial window run as a blocked scan: blocks of
+        about sqrt(N) steps, at least _SCAN_MIN_BLOCK, whose posterior moves
+        are multiplied in lockstep across blocks; the posterior is carried
+        from block to block, then every block replays its steps from its
+        start posterior in lockstep. A span of one block (short, or more than
+        _SCAN_MAX_NY side windows) is the serial recursion, step for step as
+        predict() and observe() compute it. Across blocks the laws agree with
+        per-symbol stepping to rounding, not bit for bit.
+        """
         m = self.model
-        d, mx, ny = m.order, m.mx, m.my**m.order
-        out = np.empty((len(symbols), mx))
-        head = min(max(d - self._i, 0), len(symbols))  # steps inside the initial window
+        d, mx = m.order, m.mx
+        syms = np.asarray(symbols, dtype=np.int64)
+        n = syms.size
+        # the x-window code before each step, and after the last
+        xwins = _codes(
+            np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([_digits(np.array(self._xwin), mx, d), syms]), d
+            ),
+            mx,
+        )
+        out = np.empty((n, mx))
+        head = min(max(d - self._i, 0), n)  # steps inside the initial window
         for j in range(head):
-            out[j] = _initial_conditional(m, self._i, 0)[self._xwin]
-            if out[j, symbols[j]] <= 0.0:
+            out[j] = _initial_conditional(m, self._i, 0)[xwins[j]]
+            if out[j, syms[j]] <= 0.0:
                 raise ValueError("model cannot produce the observed sequence")
-            self._xwin = symbols[j] + mx * self._xwin
             self._i += 1
             if self._i == d:
-                beta = m.initial[self._pairidx[self._xwin]]
+                beta = m.initial[self._pairidx[xwins[j + 1]]]
                 self._beta = beta / beta.sum()
-        keep = mx ** (d - 1)
-        posterior = [slice(mx + s * ny, mx + (s + 1) * ny) for s in range(mx)]
-        tables, beta, xwin = self._tables, self._beta, self._xwin
-        for j in range(head, len(symbols)):
-            s = symbols[j]
-            v = beta.dot(tables[xwin])
+        if head < n:
+            codes = xwins[head:n]  # in place: the step codes x-window * mx + symbol
+            codes *= mx
+            codes += syms[head:]
+            self._scan(codes, syms[head:], out[head:])
+        self._xwin = int(xwins[n])
+        self._i += n - head
+        out[head:] /= out[head:].sum(axis=1, keepdims=True)
+        return out
+
+    def _scan(self, codes: np.ndarray, syms: np.ndarray, out: np.ndarray) -> None:
+        """Write the unnormalized laws of steps past the initial window, given
+        their step codes and symbols, to out's rows; moves the posterior past
+        the last step."""
+        mx, n = self.model.mx, syms.size
+        ny = self._steps.shape[1]
+        size = n if ny > _SCAN_MAX_NY else max(math.isqrt(n - 1) + 1, _SCAN_MIN_BLOCK)
+        nb = -(-n // size)
+        if nb == 1:
+            self._beta = self._serial(self._beta, codes, syms, out)
+            return
+        first = np.arange(nb) * size  # each block's first step; the last block is short
+        moves = self._steps[:, :, mx:]
+        # 1. each full block's product of posterior moves, one batched matmul
+        # per in-block step, rescaled by its max against underflow (a zero
+        # product stays zero: the tiny floor keeps 0/0 away)
+        prod, tiny = moves[codes[first[:-1]]], np.finfo(float).tiny
+        for j in range(1, size):
+            prod = prod @ moves[codes[first[:-1] + j]]
+            top = prod.reshape(nb - 1, -1).max(axis=1)
+            prod /= np.maximum(top, tiny)[:, None, None]
+        # 2. carry the posterior across blocks; a zero mass means an
+        # impossible step or an underflow, and the serial steps tell which
+        betas = np.empty((nb, ny))
+        betas[0] = self._beta
+        for b, lo in enumerate(first[:-1].tolist()):
+            v = betas[b].dot(prod[b])
+            mass = v.sum()
+            if mass > 0.0:
+                betas[b + 1] = v / mass
+            else:
+                hi = lo + size
+                betas[b + 1] = self._serial(betas[b], codes[lo:hi], syms[lo:hi], out[lo:hi])
+        # 3. replay every block from its start, one batched step at a time
+        last, rows = n - first[-1], np.arange(nb)
+        for j in range(size):
+            k = nb if j < last else nb - 1
+            at = first[:k] + j
+            v = np.matmul(betas[:k, None, :], self._steps[codes[at]])[:, 0]
+            out[at] = v[:, :mx]
+            ps = v[rows[:k], syms[at]]
+            if ps.min() <= 0.0:
+                raise ValueError("model cannot produce the observed sequence")
+            betas = v[:, mx:] / ps[:, None]
+            if j == last - 1:
+                self._beta = betas[-1]
+
+    def _serial(self, beta, codes, syms, out) -> np.ndarray:
+        """The serial recursion from posterior beta: writes the unnormalized
+        laws to out's rows, returns the end posterior."""
+        steps, mx = self._step_list, self.model.mx
+        for j, (c, s) in enumerate(zip(codes.tolist(), syms.tolist())):
+            v = beta.dot(steps[c])
             out[j] = v[:mx]
             ps = v[s]
             if ps <= 0.0:
                 raise ValueError("model cannot produce the observed sequence")
-            beta = v[posterior[s]] / ps
-            xwin = s + mx * (xwin % keep)
-        self._beta, self._xwin = beta, xwin
-        self._i += len(symbols) - head
-        out[head:] /= out[head:].sum(axis=1, keepdims=True)
-        return out
+            beta = v[mx:]
+            beta /= ps
+        return beta
 
 
 def _initial_conditional(model: JointMarkovModel, t: int, s: int) -> np.ndarray:
@@ -570,7 +659,7 @@ def true_causal_measure(model: JointMarkovModel, x_hist, y_hist) -> float:
         raise ValueError("history shorter than the model order")
     complete = true_complete_dist(model, xs[-model.order :], ys[-model.order :])
     filt = RestrictedFilter(model)
-    filt._run(xs.tolist())
+    filt._run(xs)
     return kl_divergence(complete, filt.predict())
 
 
@@ -616,14 +705,18 @@ def _complete_rows(model: JointMarkovModel, xs, ys) -> np.ndarray:
 def _kl_path(complete: np.ndarray, head: list, tail) -> np.ndarray:
     """KL (bits) from the complete law to a reference law at every step: head
     lists the reference rows of the first steps, and tail(lo, hi) returns
-    those of steps lo..hi-1, called in step order _BLOCK steps at a time."""
+    those of steps lo..hi-1, called in step order _SPAN steps at a time; the
+    KL is taken _BLOCK rows at a time."""
     n, first = complete.shape[0], len(head)
     out = np.empty(n)
     if head:
         out[:first] = _kl_bits(complete[:first], np.array(head))
-    for lo in range(first, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        out[lo:hi] = _kl_bits(complete[lo:hi], tail(lo, hi))
+    for lo in range(first, n, _SPAN):
+        hi = min(lo + _SPAN, n)
+        laws = tail(lo, hi)
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            out[a:b] = _kl_bits(complete[a:b], laws[a - lo : b - lo])
     return out
 
 
@@ -632,7 +725,7 @@ def causal_measure_path(model: JointMarkovModel, x_hist, y_hist) -> np.ndarray:
     xs, ys = _path_pair(model, x_hist, y_hist)
     complete = _complete_rows(model, xs, ys)
     filt = RestrictedFilter(model)
-    return _kl_path(complete, [], lambda lo, hi: filt._run(xs[lo:hi].tolist()))
+    return _kl_path(complete, [], lambda lo, hi: filt._run(xs[lo:hi]))
 
 
 def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.ndarray:
@@ -743,6 +836,8 @@ def _group_code(model: JointMarkovModel, wins: np.ndarray, digits) -> tuple[np.n
     B, mx = model.pair_count, model.mx
     out, size = np.zeros(wins.size, dtype=np.int64), 1
     for proc, age in digits:
+        if proc not in ("X", "Y"):
+            raise ValueError(f"unknown process {proc!r}: expected 'X' or 'Y'")
         pair = (wins // B**age) % B
         out += (pair % mx if proc == "X" else pair // mx) * size
         size *= mx if proc == "X" else model.my

@@ -105,6 +105,15 @@ class TestEstimate:
         header = (out / "trace_y_to_x.csv").read_text().splitlines()[0]
         assert header == "i,estimate_bits,truth_bits,c_i,cum_abs_err,cum_bound"
 
+    def test_non_integer_window_in_model_file_is_input_error(self, sim, tmp_path, capsys):
+        data = unidirectional_model().to_json_dict()
+        data["kernel"][1]["x_window"] = [0.7]
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(data))
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv",
+                   "--model", mpath, "--direction", "yx", "--out", tmp_path / "e") == 2
+        assert "integers" in capsys.readouterr().err
+
     def test_both_directions_with_model_truth(self, sim, tmp_path):
         # the reverse direction scores truth against the role-swapped model
         mpath = tmp_path / "model.json"

@@ -183,6 +183,14 @@ class TestSoundness:
         assert checked >= 30
 
 
+def test_nodeset_mi_rejects_unknown_process_name():
+    # a name other than "X" was read as the side process Y
+    model = bidirectional_model()
+    with pytest.raises(ValueError, match="unknown process 'Z'"):
+        nodeset_conditional_mi(model, 3, [("Z", 2)], [X(3)], [X(2)])
+    assert nodeset_conditional_mi(model, 3, [Y(2)], [X(3)], [X(2)]) > 0.1
+
+
 def full_path_side_pair_mi(model, ih):
     """Test-local copy of the enumeration over all B**ih paths that the
     prefix-law version replaced."""

@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -669,6 +671,17 @@ class TestModelIO:
                 assert np.allclose(s.kernel_x[ws], m.kernel_y[w])
                 assert np.allclose(s.kernel_y[ws], m.kernel_x[w])
 
+    def test_non_integer_window_symbol_rejected(self):
+        # a cast to int64 truncated 1.9 to the symbol 1 and 0.7 to 0
+        m = independent_model()
+        with pytest.raises(ValueError, match="integers"):
+            m.window_index([1.9], [0])
+        assert m.window_index([1.0], [0]) == m.window_index([1], [0])
+        data = m.to_json_dict()
+        data["kernel"][1]["x_window"] = [0.7]
+        with pytest.raises(ValueError, match="integers"):
+            JointMarkovModel.from_json_dict(data)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_kernel_rejected(self, bad):
         kx = np.full((4, 2), 0.5)
@@ -908,3 +921,128 @@ class TestMatrixFormPaths:
             causal_measure_path(m, [0, 0, 0], [0, 1, 0])
         with pytest.raises(AbsoluteContinuityError):
             loop_causal_measure_path(m, [0, 0, 0], [0, 1, 0])
+
+
+def serial_restricted_laws(model, xs):
+    """The restricted law at every step of xs by the serial filter loop the
+    blocked scan replaced: one product per step with a per-x-window table of
+    the predictive law and, per next symbol, the unnormalized posterior over
+    side windows (initial-window steps from the brute-force oracle)."""
+    d, mx, my = model.order, model.mx, model.my
+    ny = my**d
+    xwins = list(product(range(mx), repeat=d))  # oldest first: list index is the code
+    ywins = list(product(range(my), repeat=d))
+    table = np.zeros((mx**d, ny, mx * (1 + ny)))
+    for a, xw in enumerate(xwins):
+        for c, yw in enumerate(ywins):
+            w = model.window_index(xw, yw)
+            table[a, c, :mx] = model.kernel_x[w]
+            for s in range(mx):
+                for ynew in range(my):
+                    nxt = (c % my ** (d - 1)) * my + ynew
+                    table[a, c, mx + s * ny + nxt] = model.kernel_x[w, s] * model.kernel_y[w, ynew]
+    xs = [int(s) for s in xs]
+    laws = [true_restricted_brute(model, xs[:i]).probs for i in range(min(d, len(xs)))]
+    if len(xs) > d:
+        beta = np.array([model.initial[model.window_index(xs[:d], yw)] for yw in ywins])
+        beta /= beta.sum()
+        xwin = xwins.index(tuple(xs[:d]))
+        for s in xs[d:]:
+            v = beta.dot(table[xwin])
+            laws.append(v[:mx] / v[:mx].sum())
+            if v[s] <= 0.0:
+                raise ValueError("model cannot produce the observed sequence")
+            beta = v[mx + s * ny : mx + (s + 1) * ny] / v[s]
+            xwin = s + mx * (xwin % mx ** (d - 1))
+    return np.array(laws).reshape(len(xs), mx)
+
+
+def copy_side_model(kx_side0, kx_side1):
+    """Order-1 model whose side symbol never changes: X is drawn from
+    kx_side0 or kx_side1 by the side symbol, and every initial window has
+    mass."""
+    mx = len(kx_side0)
+    wins = np.arange(2 * mx)
+    kx = np.where((wins // mx == 0)[:, None], kx_side0, kx_side1)
+    ky = np.eye(2)[wins // mx]
+    return JointMarkovModel(1, Alphabet(mx), B2, kx, ky, initial=np.full(2 * mx, 0.5 / mx))
+
+
+class TestBlockedScan:
+    """The blocked filter scan against the serial loop it replaced: blocks of
+    256 steps past the initial window (sqrt(N) from 65,536 steps on), one
+    block for more than 16 side windows."""
+
+    @pytest.mark.parametrize("name", PATH_MODELS)
+    def test_matches_serial_loop(self, name):
+        m = path_model(name)
+        d = m.order
+        x, _ = simulate(m, 20_000, seed=len(name))
+        # one step; one block +- 1 step; two blocks and one step; 79 blocks
+        for n in (1, d + 255, d + 257, d + 513, 20_000):
+            xs = x.data[:n]
+            got = RestrictedFilter(m)._run(xs)
+            assert got.shape == (n, m.mx)
+            assert np.max(np.abs(got - serial_restricted_laws(m, xs))) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["bidirectional", "random-2-3-2", "random-3-2-2"])
+    def test_two_runs_equal_one(self, name):
+        m = path_model(name)
+        x, _ = simulate(m, 20_000, seed=3)
+        whole, split = RestrictedFilter(m), RestrictedFilter(m)
+        rows = whole._run(x.data)
+        parts = np.vstack([split._run(x.data[:7_001]), split._run(x.data[7_001:])])
+        assert np.max(np.abs(parts - rows)) <= 1e-15
+        assert np.max(np.abs(split.predict().probs - whole.predict().probs)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "xs,bad",
+        [
+            # the switch to 1 is inside a block: that block's product is zero
+            ([0] * 301 + [1] * 2_000, 301),
+            # the switch starts a block of ones: its product is not zero, but
+            # the posterior carried into it gives it no mass
+            ([0] * 513 + [1] * 2_000, 513),
+            # the switch is in the last block, reached only by the replay
+            ([0] * 2_000 + [1] * 10, 2_000),
+        ],
+    )
+    def test_impossible_symbol_in_a_later_block_raises(self, xs, bad):
+        # X copies the side symbol, which never changes: a 1 after 0s is impossible
+        m = copy_side_model([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="cannot produce"):
+            serial_restricted_laws(m, xs)
+        serial_restricted_laws(m, xs[:bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="model cannot produce"):
+                RestrictedFilter(m)._run(xs)
+            with pytest.raises(ValueError, match="model cannot produce"):
+                causal_measure_path(m, xs, xs)
+            assert RestrictedFilter(m)._run(xs[:bad]).shape == (bad, 2)
+
+    def test_possible_path_through_zero_entries_runs_warning_free(self):
+        # side 1 never emits a 2, so the early 2s pin the side to 0; in the
+        # block of 1s the side-0 row of the block product underflows to zero
+        # (0.01 per step against 0.999), the carried mass is zero, and the
+        # serial steps carry the posterior through the block
+        m = copy_side_model([0.495, 0.01, 0.495], [0.001, 0.999, 0.0])
+        rng = np.random.default_rng(5)
+        xs = [2] + rng.choice([0, 2], 300).tolist() + [1] * 400 + rng.choice([0, 2], 400).tolist()
+        sparse = JointMarkovModel(
+            1,
+            Alphabet(3),
+            B2,
+            np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 0.8]] * 2),
+            np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]] * 2),
+            initial=np.full(6, 1 / 6),
+        )
+        x, _ = simulate(sparse, 20_000, seed=4)
+        # the last block stops short: its padding (x-window 0, symbol 0)
+        # cannot follow a run of 1s of the copying model
+        copying = copy_side_model([1.0, 0.0], [0.0, 1.0])
+        for model, path in ((m, xs), (sparse, x.data), (copying, [1] * 1_000)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = RestrictedFilter(model)._run(path)
+            assert np.max(np.abs(got - serial_restricted_laws(model, path))) <= 1e-13

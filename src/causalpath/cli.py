@@ -44,6 +44,7 @@ from .measure import (
 from .scenarios import SCENARIO_NAMES, scenario_model
 
 OUT_ENV_VAR = "CAUSALPATH_OUT"
+_SUMMARY_ROW = "{},{},{},{:.4f},{:.12g},{:.12g},{:.12g},{:.12g}\n"
 
 
 def _outdir(args) -> Path:
@@ -308,7 +309,7 @@ def cmd_stocks(args) -> int:
     _write_symbols(outdir, f"symbols_{args.label_a}", sym_a, args.format, dates)
     _write_symbols(outdir, f"symbols_{args.label_b}", sym_b, args.format, dates)
 
-    summaries = {}
+    rates = {}
     trace_meta = {}
     # a -> b: market b's move conditioned on market a's strictly prior close
     runs = [
@@ -322,23 +323,14 @@ def cmd_stocks(args) -> int:
         )
         trace = estimate_causal_trace(target, side, config)
         _write_trace(outdir, f"trace_{label}", trace, args.format)
-        summary = _state_summary(trace, target, side, args.d)
-        summaries[label] = summary
+        rates[label] = plug_in_di_rate(trace)
         trace_meta[label] = trace.metadata
         with open(outdir / f"summary_{label}.csv", "w") as fp:
-            fp.write(
-                "target_prev,side_prev,count,occupancy_pct,"
-                "mean_bits,median_bits,q25_bits,q75_bits\n"
-            )
-            for row in summary["states"]:
-                fp.write(
-                    f"{row['target_prev']},{row['side_prev']},{row['count']},"
-                    f"{row['occupancy_pct']:.4f},{row['mean_bits']:.12g},"
-                    f"{row['median_bits']:.12g},{row['q25_bits']:.12g},"
-                    f"{row['q75_bits']:.12g}\n"
-                )
-            fp.write(f"plug_in_di_bits,,,,{summary['plug_in_di_bits']:.12g},,,\n")
-        print(f"{label}: plug-in rate = {summary['plug_in_di_bits']:.6f} bits/step")
+            fp.write("target_prev,side_prev,count,occupancy_pct,"
+                     "mean_bits,median_bits,q25_bits,q75_bits\n")
+            fp.writelines(_SUMMARY_ROW.format(*row) for row in _state_summary(trace, target, side))
+            fp.write(f"plug_in_di_bits,,,,{rates[label]:.12g},,,\n")
+        print(f"{label}: plug-in rate = {rates[label]:.6f} bits/step")
     _write_metadata(
         outdir,
         "stocks",
@@ -352,38 +344,30 @@ def cmd_stocks(args) -> int:
             "d": args.d,
             "format": args.format,
             "alignment": align_meta,
-            "plug_in_di_bits": {k: v["plug_in_di_bits"] for k, v in summaries.items()},
+            "plug_in_di_bits": rates,
             "trace_metadata": trace_meta,
         },
     )
     return 0
 
 
-def _state_summary(trace: CausalTrace, target: SymbolSeq, side: SymbolSeq, d: int) -> dict:
-    est = trace.estimate_bits
-    n = est.size
-    groups: dict[tuple[int, int], list[float]] = {}
-    usable = 0
-    for i in range(1, n):
-        state = (int(target.data[i - 1]), int(side.data[i - 1]))
-        groups.setdefault(state, []).append(float(est[i]))
-        usable += 1
+def _state_summary(trace: CausalTrace, target: SymbolSeq, side: SymbolSeq) -> list[tuple]:
+    """Rows (target_prev, side_prev, count, occupancy_pct, mean, median, q25,
+    q75) of the estimate at steps 1..n-1 grouped by the previous (target,
+    side) pair, in state order; an unvisited state has no row."""
+    m = side.alphabet.size
+    state = target.data[:-1] * m + side.data[:-1]
+    # a stable sort keeps each state's values a contiguous run in time order
+    runs = trace.estimate_bits[1:][np.argsort(state, kind="stable")]
+    counts = np.bincount(state, minlength=target.alphabet.size * m)
+    ends = np.cumsum(counts)
     rows = []
-    for state in sorted(groups):
-        vals = np.array(groups[state])
-        rows.append(
-            {
-                "target_prev": state[0],
-                "side_prev": state[1],
-                "count": int(vals.size),
-                "occupancy_pct": 100.0 * vals.size / usable,
-                "mean_bits": float(vals.mean()),
-                "median_bits": float(np.median(vals)),
-                "q25_bits": float(np.quantile(vals, 0.25)),
-                "q75_bits": float(np.quantile(vals, 0.75)),
-            }
-        )
-    return {"states": rows, "plug_in_di_bits": plug_in_di_rate(trace)}
+    for code in np.flatnonzero(counts).tolist():
+        vals = runs[ends[code] - counts[code]:ends[code]]
+        rows.append((code // m, code % m, vals.size, 100.0 * vals.size / state.size,
+                     float(vals.mean()), float(np.median(vals)),
+                     *np.quantile(vals, [0.25, 0.75]).tolist()))
+    return rows
 
 
 # -- argument parsing -----------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from .core import Alphabet, SymbolSeq
 
 TERNARY = Alphabet(3)
+_WRITE_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -63,27 +64,39 @@ class QuantizerSpec:
 def load_price_csv(path) -> PriceSeries:
     """Parse, sort, and validate a price CSV with date/adj_close columns."""
     with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames is None:
+        reader = csv.reader(fp)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        if "date" not in fields or "adj_close" not in fields:
+        cols = {name.strip().lower(): i for i, name in enumerate(header)}
+        if "date" not in cols or "adj_close" not in cols:
             raise ValueError(f"{path}: need 'date' and 'adj_close' columns")
+        at_date, at_price = cols["date"], cols["adj_close"]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue
             try:
-                day = dt.date.fromisoformat(row[fields["date"]].strip())
-                price = float(row[fields["adj_close"]].strip())
-            except (ValueError, AttributeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if price <= 0.0:
-                raise ValueError(f"{path}:{lineno}: nonpositive price {price}")
+                day = dt.date.fromisoformat(row[at_date].strip())
+                price = float(row[at_price])
+            except IndexError:
+                field = "date" if len(row) <= at_date else "adj_close"
+                raise ValueError(f"{path}:{reader.line_num}: no '{field}' field") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            # written so that NaN fails
+            if not 0.0 < price < math.inf:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: price must be positive and finite, got {price}")
             rows.append((day, price))
+    if not rows:
+        raise ValueError(f"{path}: no price rows")
     rows.sort(key=lambda r: r[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+    days, prices = zip(*rows)
+    for d1, d2 in zip(days, days[1:]):
         if d1 == d2:
             raise ValueError(f"{path}: duplicate date {d1}")
-    return PriceSeries(tuple(d for d, _ in rows), np.array([p for _, p in rows]))
+    return PriceSeries(days, np.array(prices))
 
 
 def align_calendars(
@@ -95,41 +108,35 @@ def align_calendars(
     trimmed dates. Interpolation is linear in the price level over calendar
     days between a market's neighboring own quotes.
     """
-    union = sorted(set(a.dates) | set(b.dates))
-    lo = max(a.dates[0], b.dates[0])
-    hi = min(a.dates[-1], b.dates[-1])
+    own = [np.array([d.toordinal() for d in s.dates], dtype=np.int64) for s in (a, b)]
+    union = np.union1d(*own)
+    lo, hi = max(o[0] for o in own), min(o[-1] for o in own)
     if lo > hi:
         raise ValueError("price series do not overlap in time")
-    kept = [day for day in union if lo <= day <= hi]
-    trimmed = [day for day in union if day < lo or day > hi]
-    meta = {"trimmed": [d.isoformat() for d in trimmed]}
-
-    def fill(series: PriceSeries, label: str) -> np.ndarray:
-        known = dict(zip(series.dates, series.prices))
-        ords = [d.toordinal() for d in series.dates]
-        out = np.empty(len(kept))
-        interpolated = []
-        for idx, day in enumerate(kept):
-            price = known.get(day)
-            if price is None:
-                o = day.toordinal()
-                pos = np.searchsorted(ords, o)
-                left, right = pos - 1, pos
-                frac = (o - ords[left]) / (ords[right] - ords[left])
-                price = float(
-                    series.prices[left]
-                    + frac * (series.prices[right] - series.prices[left])
-                )
-                interpolated.append(day.isoformat())
-            out[idx] = price
-        meta[f"interpolated_{label}"] = interpolated
-        return out
-
-    pa = fill(a, "a")
-    pb = fill(b, "b")
+    inside = (union >= lo) & (union <= hi)
+    kept = union[inside]
+    meta = {"trimmed": _iso(union[~inside])}
+    filled = []
+    for o, p, label in zip(own, (a.prices, b.prices), "ab"):
+        # every kept day lies inside the market's span: a missing day has
+        # an own quote on each side
+        pos = np.searchsorted(o, kept)
+        miss = o[pos] != kept
+        right = pos[miss]
+        left = right - 1
+        frac = (kept[miss] - o[left]) / (o[right] - o[left])
+        out = p[pos]
+        out[miss] = p[left] + frac * (p[right] - p[left])
+        meta[f"interpolated_{label}"] = _iso(kept[miss])
+        filled.append(out)
     meta["interpolation"] = "linear on price level over calendar days"
-    dates = tuple(kept)
-    return PriceSeries(dates, pa), PriceSeries(dates, pb), meta
+    dates = tuple(map(dt.date.fromordinal, kept.tolist()))
+    return PriceSeries(dates, filled[0]), PriceSeries(dates, filled[1]), meta
+
+
+def _iso(ordinals: np.ndarray) -> list[str]:
+    """ISO-8601 strings of proleptic Gregorian day ordinals."""
+    return [dt.date.fromordinal(o).isoformat() for o in ordinals.tolist()]
 
 
 def pct_change_quantize(series: PriceSeries, spec: QuantizerSpec = QuantizerSpec()) -> SymbolSeq:
@@ -164,16 +171,16 @@ def shift_for_market_order(
 
 def write_symbol_csv(fp: IO[str], seq: SymbolSeq, dates: Optional[tuple[dt.date, ...]] = None) -> None:
     """Symbol CSV with a date column when dates are supplied, else an index."""
-    if dates is not None:
-        if len(dates) != len(seq):
-            raise ValueError("dates and symbols length mismatch")
-        fp.write("date,symbol\n")
-        for day, sym in zip(dates, seq.data):
-            fp.write(f"{day.isoformat()},{int(sym)}\n")
-    else:
-        fp.write("i,symbol\n")
-        for i, sym in enumerate(seq.data, start=1):
-            fp.write(f"{i},{int(sym)}\n")
+    if dates is not None and len(dates) != len(seq):
+        raise ValueError("dates and symbols length mismatch")
+    fp.write("i,symbol\n" if dates is None else "date,symbol\n")
+    keys = range(1, len(seq) + 1) if dates is None else dates
+    # one join per block of rows: few writes, and the strings held at once
+    # stay within the file buffer's size however long the stream
+    for lo in range(0, len(seq), _WRITE_BLOCK):
+        hi = lo + _WRITE_BLOCK
+        rows = zip(keys[lo:hi], seq.data[lo:hi].tolist())
+        fp.write("".join([f"{key},{sym}\n" for key, sym in rows]))
 
 
 def read_symbol_csv(path, alphabet: Optional[Alphabet] = None) -> SymbolSeq:
@@ -188,9 +195,14 @@ def read_symbol_csv(path, alphabet: Optional[Alphabet] = None) -> SymbolSeq:
         try:
             symbols = [int(row[col]) for row in reader if row]
         except IndexError:
-            raise ValueError(f"{path}: a row has no 'symbol' field") from None
+            raise ValueError(f"{path}:{reader.line_num}: a row has no 'symbol' field") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not symbols:
         raise ValueError(f"{path}: no symbols")
     if alphabet is None:
         alphabet = Alphabet(max(2, max(symbols) + 1))
-    return SymbolSeq.from_list(alphabet, symbols)
+    try:
+        return SymbolSeq.from_list(alphabet, symbols)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

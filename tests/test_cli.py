@@ -1,11 +1,13 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from causalpath.cli import main
+from causalpath.cli import _state_summary, main
+from causalpath.core import Alphabet, SymbolSeq
 from causalpath.scenarios import bidirectional_model, unidirectional_model
 
 DATA = Path(__file__).parent / "data"
@@ -350,6 +352,54 @@ class TestStocks:
             assert tm["dual_run_steps_per_s"] > 0
             assert tm["truth_s"] is None and tm["truth_steps_per_s"] is None  # no model
             assert tm["bound_s"] >= 0
+
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("date,adj_close\n", "bad.csv"),
+            ("date,adj_close\n2026-01-01,1.0\n2026-01-02,nan\n", "bad.csv:3"),
+        ],
+    )
+    def test_malformed_price_file_is_input_error(self, tmp_path, capsys, text, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run("stocks", "--prices-a", bad, "--prices-b", DATA / "prices_b.csv",
+                   "--out", tmp_path / "s") == 2
+        assert f"{where}: " in capsys.readouterr().err
+
+
+def _per_row_state_summary(est, target, side):
+    """The per-row grouping loop that `_state_summary` replaced: the reference."""
+    groups = {}
+    for i in range(1, est.size):
+        state = (int(target.data[i - 1]), int(side.data[i - 1]))
+        groups.setdefault(state, []).append(float(est[i]))
+    rows = []
+    for state in sorted(groups):
+        vals = np.array(groups[state])
+        rows.append((state[0], state[1], int(vals.size), 100.0 * vals.size / (est.size - 1),
+                     float(vals.mean()), float(np.median(vals)),
+                     float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.75))))
+    return rows
+
+
+def test_state_summary_matches_per_row_reference():
+    rng = np.random.default_rng(7)
+    lengths = [1, 2, 3, 5, 17] + [int(n) for n in rng.integers(4, 3000, size=60)]
+    for trial, n in enumerate(lengths):
+        mt, ms = 3, int(rng.choice([2, 3]))
+        # a narrowed support leaves some states unvisited
+        target = SymbolSeq(Alphabet(mt), rng.integers(0, mt - trial % 2, size=n))
+        side = SymbolSeq(Alphabet(ms), rng.integers(0, ms, size=n))
+        est = rng.normal(0.0, 0.1, size=n) if trial % 3 else rng.choice([0.0, 0.25, 1e-9], size=n)
+        trace = SimpleNamespace(estimate_bits=est)
+        want = _per_row_state_summary(est, target, side)
+        assert _state_summary(trace, target, side) == want
+        if n == 2:
+            assert len(want) == 1 and want[0][3] == 100.0
+        if trial % 2 and n > 1:
+            assert len(want) < mt * ms
 
 
 class TestOutputDir:

@@ -57,6 +57,27 @@ class TestLoad:
         with pytest.raises(ValueError):
             load_price_csv(path)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("date,adj_close\n2020-01-02,10.0\n\n\n2020-01-03,-1.0\n")
+        with pytest.raises(ValueError, match=r"blank\.csv:5: price must be positive"):
+            load_price_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("2020-01-02,10.0\n2020-01-03\n", r"p\.csv:3: no 'adj_close' field"),
+            ("2020-01-02,10.0\n2020-01-03,nan\n", r"p\.csv:3: .* finite, got nan"),
+            ("2020-01-02,10.0\n2020-01-03,inf\n", r"p\.csv:3: .* finite, got inf"),
+            ("", r"p\.csv: no price rows"),
+        ],
+    )
+    def test_malformed_rows_name_path_and_line(self, tmp_path, text, match):
+        path = tmp_path / "p.csv"
+        path.write_text("date,adj_close\n" + text)
+        with pytest.raises(ValueError, match=match):
+            load_price_csv(path)
+
 
 class TestAlign:
     def test_identical_calendars_identity(self):
@@ -102,6 +123,110 @@ class TestAlign:
         b = series([(D(2021, 1, 1), 1.0), (D(2021, 1, 2), 1.0)])
         with pytest.raises(ValueError):
             align_calendars(a, b)
+
+
+def _per_day_align(a, b):
+    """The per-day aligner that `align_calendars` replaced: the reference."""
+    union = sorted(set(a.dates) | set(b.dates))
+    lo = max(a.dates[0], b.dates[0])
+    hi = min(a.dates[-1], b.dates[-1])
+    if lo > hi:
+        raise ValueError("price series do not overlap in time")
+    kept = [day for day in union if lo <= day <= hi]
+    trimmed = [day for day in union if day < lo or day > hi]
+    meta = {"trimmed": [d.isoformat() for d in trimmed]}
+
+    def fill(s, label):
+        known = dict(zip(s.dates, s.prices))
+        ords = [d.toordinal() for d in s.dates]
+        out = np.empty(len(kept))
+        interpolated = []
+        for idx, day in enumerate(kept):
+            price = known.get(day)
+            if price is None:
+                o = day.toordinal()
+                pos = np.searchsorted(ords, o)
+                left, right = pos - 1, pos
+                frac = (o - ords[left]) / (ords[right] - ords[left])
+                price = float(s.prices[left] + frac * (s.prices[right] - s.prices[left]))
+                interpolated.append(day.isoformat())
+            out[idx] = price
+        meta[f"interpolated_{label}"] = interpolated
+        return out
+
+    pa = fill(a, "a")
+    pb = fill(b, "b")
+    meta["interpolation"] = "linear on price level over calendar days"
+    return tuple(kept), pa, pb, meta
+
+
+def _random_calendar_pair(rng, kind):
+    """Two markets on one pool of consecutive days. Kinds: 0 independent
+    spans with holidays on either side, 1 identical calendars, 2 b's span
+    inside a's, 3 no overlap, 4 multi-day gaps on both sides."""
+    span = int(rng.integers(2, 90))
+    start = D(2019, 1, 1) + dt.timedelta(days=int(rng.integers(0, 700)))
+    pool = [start + dt.timedelta(days=i) for i in range(span)]
+
+    def pick(days, keep):
+        chosen = [d for d in days if rng.random() < keep]
+        return chosen or [days[int(rng.integers(len(days)))]]
+
+    def window(lo, hi):
+        lo = int(rng.integers(lo, hi))
+        return pool[lo:int(rng.integers(lo, span)) + 1]
+
+    def gappy(days):
+        out, i = [], 0
+        while i < len(days):
+            run = int(rng.integers(1, 7))
+            if rng.random() < 0.6:
+                out.extend(days[i:i + run])
+            i += run
+        return out or days[:1]
+
+    if kind == 0:
+        a, b = pick(window(0, span), 0.8), pick(window(0, span), 0.8)
+    elif kind == 1:
+        a = b = pick(pool, 0.7)
+    elif kind == 2:
+        a, b = pool, pick(window(1, span), 0.7)
+    elif kind == 3:
+        cut = int(rng.integers(1, span))
+        a, b = pick(pool[:cut], 0.8), pick(pool[cut:], 0.8)
+    else:
+        a, b = gappy(pool), gappy(pool)
+    return tuple(
+        PriceSeries(tuple(days), np.exp(level + rng.normal(0, 0.02, len(days)).cumsum()))
+        for days, level in ((a, rng.normal(4.0, 1.0)), (b, rng.normal(4.0, 1.0)))
+    )
+
+
+def test_align_matches_per_day_reference_on_random_calendars():
+    rng = np.random.default_rng(20261019)
+    seen = dict.fromkeys(
+        ("interp_a", "interp_b", "trim_head", "trim_tail", "no_overlap", "identical"), 0
+    )
+    for trial in range(300):
+        a, b = _random_calendar_pair(rng, trial % 5)
+        try:
+            want = _per_day_align(a, b)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                align_calendars(a, b)
+            seen["no_overlap"] += 1
+            continue
+        aa, bb, meta = align_calendars(a, b)
+        dates, pa, pb, want_meta = want
+        assert aa.dates == bb.dates == dates
+        assert np.array_equal(aa.prices, pa) and np.array_equal(bb.prices, pb)
+        assert meta == want_meta and list(meta) == list(want_meta)
+        seen["interp_a"] += bool(meta["interpolated_a"])
+        seen["interp_b"] += bool(meta["interpolated_b"])
+        seen["trim_head"] += bool(meta["trimmed"]) and meta["trimmed"][0] < dates[0].isoformat()
+        seen["trim_tail"] += bool(meta["trimmed"]) and meta["trimmed"][-1] > dates[-1].isoformat()
+        seen["identical"] += a.dates == b.dates
+    assert min(seen.values()) > 0, seen
 
 
 class TestQuantize:
@@ -227,6 +352,19 @@ class TestSymbolIO:
         ],
     )
     def test_malformed_symbol_files(self, tmp_path, text, match):
+        path = tmp_path / "sym.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_symbol_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("i,symbol\n1,0\n\n3,1.0\n", r"sym\.csv:4: invalid literal .* '1\.0'"),
+            ("i,symbol\n1,0\n2,-1\n", r"sym\.csv: symbol out of alphabet range"),
+        ],
+    )
+    def test_symbol_errors_name_the_file(self, tmp_path, text, match):
         path = tmp_path / "sym.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):

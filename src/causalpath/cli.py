@@ -10,11 +10,11 @@ failure (non-ergodic model or an absolute-continuity violation).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .ingest import (
     align_calendars,
     load_price_csv,
     pct_change_quantize,
+    read_csv_column,
     read_symbol_csv,
     shift_for_market_order,
     write_symbol_csv,
@@ -82,6 +83,7 @@ def _load_model(args) -> JointMarkovModel:
 
 
 def _write_symbols(outdir: Path, name: str, seq: SymbolSeq, fmt: str, dates=None) -> None:
+    """A symbol CSV, or JSON lines of the same fields; dates are ISO strings."""
     if fmt == "csv":
         with open(outdir / f"{name}.csv", "w") as fp:
             write_symbol_csv(fp, seq, dates)
@@ -90,7 +92,7 @@ def _write_symbols(outdir: Path, name: str, seq: SymbolSeq, fmt: str, dates=None
             for i, sym in enumerate(seq.data, start=1):
                 rec = {"i": i, "symbol": int(sym)}
                 if dates is not None:
-                    rec["date"] = dates[i - 1].isoformat()
+                    rec["date"] = dates[i - 1]
                 fp.write(json.dumps(rec) + "\n")
 
 
@@ -151,8 +153,11 @@ def cmd_estimate(args) -> int:
     ax, ay = (model.alphabet_x, model.alphabet_y) if model else (None, None)
     ax = Alphabet(args.alphabet_x) if args.alphabet_x else ax
     ay = Alphabet(args.alphabet_y) if args.alphabet_y else ay
+    t0 = time.perf_counter()
     x = read_symbol_csv(args.x, ax)
+    t1 = time.perf_counter()
     y = read_symbol_csv(args.y, ay)
+    read_s = {"x": t1 - t0, "y": time.perf_counter() - t1}
     source = "model" if model else "inferred"
     alphabets = {  # each alphabet's size and where it came from
         name: {"size": seq.alphabet.size, "source": "flag" if flag else source}
@@ -168,9 +173,13 @@ def cmd_estimate(args) -> int:
             trace = estimate_partial_trace(target, side, config, truth_model=truth)
         else:
             trace = estimate_causal_trace(target, side, config, truth_model=truth)
+        t0 = time.perf_counter()
         path = _write_trace(outdir, f"trace_{label}", trace, args.format)
+        export_s = time.perf_counter() - t0
         written.append(str(path))
-        trace_meta[label] = trace.metadata
+        trace_meta[label] = {
+            **trace.metadata, "export_s": export_s, "export_bytes": path.stat().st_size
+        }
         print(
             f"{label}: n={len(trace)} plug-in rate={plug_in_di_rate(trace):.6f} bits/step"
             f" (L={trace.metadata['reference_leaves']}, S={trace.metadata['reference_nodes']}"
@@ -189,6 +198,7 @@ def cmd_estimate(args) -> int:
             "direction": args.direction,
             "format": args.format,
             "alphabets": alphabets,
+            "read_s": read_s,
             "traces": written,
             "truth_columns": model is not None,
             "trace_metadata": trace_meta,
@@ -255,11 +265,9 @@ def cmd_bounds(args) -> int:
 
 def _bound_curve_from_trace(trace_path: str, complete, reference) -> np.ndarray:
     """Rows (i, m_complete, m_reference, bound_bits), NaN where undefined."""
-    with open(trace_path, newline="") as fp:
-        rows = list(csv.DictReader(fp))
-    if not rows or "c_i" not in rows[0]:
+    c = read_csv_column(trace_path, "c_i", float)
+    if c is None or not c.size:
         raise ValueError(f"{trace_path}: not a trace export with a c_i column")
-    c = np.array([float(r["c_i"]) for r in rows])
     bad = np.flatnonzero(~np.isfinite(c) | (c < 0.0))
     if bad.size:
         raise ValueError(
@@ -305,9 +313,10 @@ def cmd_stocks(args) -> int:
     spec = QuantizerSpec(args.threshold)
     sym_a = pct_change_quantize(aligned_a, spec)
     sym_b = pct_change_quantize(aligned_b, spec)
-    dates = aligned_a.dates[1:]
+    dates = [day.isoformat() for day in aligned_a.dates[1:]]  # once, for both files
     _write_symbols(outdir, f"symbols_{args.label_a}", sym_a, args.format, dates)
     _write_symbols(outdir, f"symbols_{args.label_b}", sym_b, args.format, dates)
+    del dates  # else the strings stay alive through both estimates
 
     rates = {}
     trace_meta = {}

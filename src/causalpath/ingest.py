@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .core import Alphabet, SymbolSeq
 
 TERNARY = Alphabet(3)
 _WRITE_BLOCK = 1 << 10
+# characters numpy's text parser reads differently from csv and int()/float():
+# it honours no quotes, and it skips the separators \x1c-\x1f as white space
+_SCAN_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,8 @@ class PriceSeries:
             raise ValueError("dates and prices length mismatch")
         if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
             raise ValueError("prices must be positive and finite")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        days = np.fromiter(map(dt.date.toordinal, self.dates), np.int64, len(self.dates))
+        if np.any(days[1:] <= days[:-1]):
             raise ValueError("dates must be strictly increasing")
         object.__setattr__(self, "prices", arr)
 
@@ -169,40 +174,71 @@ def shift_for_market_order(
     return follower[1:], leader[:-1]
 
 
-def write_symbol_csv(fp: IO[str], seq: SymbolSeq, dates: Optional[tuple[dt.date, ...]] = None) -> None:
-    """Symbol CSV with a date column when dates are supplied, else an index."""
+def write_symbol_csv(
+    fp: IO[str], seq: SymbolSeq, dates: Optional[Sequence[Union[dt.date, str]]] = None
+) -> None:
+    """Symbol CSV with a date column when dates (or their ISO strings) are
+    supplied, else an index."""
     if dates is not None and len(dates) != len(seq):
         raise ValueError("dates and symbols length mismatch")
     fp.write("i,symbol\n" if dates is None else "date,symbol\n")
     keys = range(1, len(seq) + 1) if dates is None else dates
-    # one join per block of rows: few writes, and the strings held at once
+    # one % format per block of rows: few writes, and the strings held at once
     # stay within the file buffer's size however long the stream
     for lo in range(0, len(seq), _WRITE_BLOCK):
-        hi = lo + _WRITE_BLOCK
-        rows = zip(keys[lo:hi], seq.data[lo:hi].tolist())
-        fp.write("".join([f"{key},{sym}\n" for key, sym in rows]))
+        hi = min(lo + _WRITE_BLOCK, len(seq))
+        cells = [None] * (2 * (hi - lo))
+        cells[::2] = keys[lo:hi]
+        cells[1::2] = seq.data[lo:hi].tolist()
+        fp.write("%s,%d\n" * (hi - lo) % tuple(cells))
+
+
+def read_csv_column(path, name: str, kind: type) -> Optional[np.ndarray]:
+    """Column `name` of a CSV as int64 (kind int) or float64 (kind float)
+    values, or None when the header has no such column. The header is the
+    first non-empty row; names compare case- and space-insensitively.
+
+    numpy's C parser reads the body. A body it would read differently from
+    csv and int()/float() (a quote, a separator \x1c-\x1f, non-ASCII text),
+    or one it rejects, is read row by row instead: that scan gives the values,
+    or the error at its physical line."""
+    with open(path, newline="") as fp:
+        reader = csv.reader(fp)
+        header = [f.strip().lower() for f in next((r for r in reader if r), [])]
+        if name not in header:
+            return None
+        col, start = header.index(name), reader.line_num
+        body = fp.read()
+    dtype = np.int64 if kind is int else np.float64
+    if not body.strip("\r\n"):  # no rows; numpy would warn of an empty input
+        return np.empty(0, dtype)
+    if body.isascii() and not any(c in body for c in _SCAN_ONLY):
+        try:
+            return np.loadtxt(io.StringIO(body), delimiter=",", usecols=col, dtype=dtype,
+                              comments=None, ndmin=1)
+        except ValueError:
+            pass
+    rows = csv.reader(io.StringIO(body, newline=""))
+    try:
+        values = [kind(row[col]) for row in rows if row]
+    except IndexError:
+        raise ValueError(f"{path}:{start + rows.line_num}: a row has no '{name}' field") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{start + rows.line_num}: {exc}") from None
+    return np.array(values, dtype)
 
 
 def read_symbol_csv(path, alphabet: Optional[Alphabet] = None) -> SymbolSeq:
     """Read the 'symbol' column; the alphabet is inferred from the data
     (at least binary) unless given."""
-    with open(path, newline="") as fp:
-        reader = csv.reader(fp)
-        header = [f.strip().lower() for f in next((r for r in reader if r), [])]
-        if "symbol" not in header:
-            raise ValueError(f"{path}: need a 'symbol' column")
-        col = header.index("symbol")
-        try:
-            symbols = [int(row[col]) for row in reader if row]
-        except IndexError:
-            raise ValueError(f"{path}:{reader.line_num}: a row has no 'symbol' field") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not symbols:
+    symbols = read_csv_column(path, "symbol", int)
+    if symbols is None:
+        raise ValueError(f"{path}: need a 'symbol' column")
+    if not symbols.size:
         raise ValueError(f"{path}: no symbols")
     if alphabet is None:
-        alphabet = Alphabet(max(2, max(symbols) + 1))
+        alphabet = Alphabet(max(2, int(symbols.max()) + 1))
     try:
-        return SymbolSeq.from_list(alphabet, symbols)
+        return SymbolSeq(alphabet, symbols)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -82,29 +82,34 @@ class CausalTrace:
     def __len__(self) -> int:
         return int(self.estimate_bits.size)
 
-    def _columns(self, at: slice) -> dict:
-        """The exported columns of the steps in slice `at`, in order, as
-        Python lists; a NaN bound is None."""
-        cols = {"i": range(1, len(self) + 1)[at], "estimate_bits": self.estimate_bits[at].tolist()}
+    def _columns(self) -> dict:
+        """The exported columns, in order, as arrays."""
+        cols = {"i": np.arange(1, len(self) + 1), "estimate_bits": self.estimate_bits}
         if self.truth_bits is not None:
-            cols["truth_bits"] = self.truth_bits[at].tolist()
-        cols["c_i"] = self.c[at].tolist()
+            cols["truth_bits"] = self.truth_bits
+        cols["c_i"] = self.c
         if self.cum_abs_err is not None:
-            cols["cum_abs_err"] = self.cum_abs_err[at].tolist()
-        cols["cum_bound"] = [None if math.isnan(b) else b for b in self.cum_bound[at].tolist()]
+            cols["cum_abs_err"] = self.cum_abs_err
+        cols["cum_bound"] = self.cum_bound
         return cols
 
     def write_csv(self, fp: IO[str]) -> None:
-        names = list(self._columns(slice(0)))
-        fp.write(",".join(names) + "\n")
-        row = "{}," + "{:.12g}," * (len(names) - 2) + "{}\n"
-        for lo in range(0, len(self), _CHUNK):  # one block of rows at a time bounds the lists
-            cols = self._columns(slice(lo, lo + _CHUNK))
-            bound = ["" if b is None else f"{b:.12g}" for b in cols.pop("cum_bound")]
-            fp.writelines(map(row.format, *cols.values(), bound))
+        cols = self._columns()
+        fp.write(",".join(cols) + "\n")
+        # %.12g prints as {:.12g} does, %d of the float-stacked index as its int,
+        # and %.0s a NaN bound as an empty field
+        row = "%d," + "%.12g," * (len(cols) - 2)
+        rows = (row + "%.12g\n", row + "%.0s\n")
+        for lo in range(0, len(self), _CHUNK):  # one block of rows at a time bounds the strings
+            at = slice(lo, lo + _CHUNK)
+            block = np.column_stack([c[at] for c in cols.values()])
+            fmt = "".join(map(rows.__getitem__, np.isnan(self.cum_bound[at]).tolist()))
+            fp.write(fmt % tuple(block.ravel().tolist()))
 
     def to_records(self) -> list[dict]:
-        cols = self._columns(slice(None))
+        """One dict per step; a NaN bound is None."""
+        cols = {name: c.tolist() for name, c in self._columns().items()}
+        cols["cum_bound"] = [None if math.isnan(b) else b for b in cols["cum_bound"]]
         return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
     def write_records(self, fp: IO[str]) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -218,6 +219,18 @@ class TestEstimate:
             assert tm["truth_steps_per_s"] == pytest.approx(400 / tm["truth_s"])
             assert tm["bound_s"] >= 0
 
+    def test_metadata_times_reads_and_exports(self, sim, tmp_path):
+        out = tmp_path / "est6"
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv",
+                   "--direction", "both", "--out", out) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert set(meta["read_s"]) == {"x", "y"}
+        assert all(s > 0 for s in meta["read_s"].values())
+        for label in ("y_to_x", "x_to_y"):
+            tm = meta["trace_metadata"][label]
+            assert tm["export_s"] > 0
+            assert tm["export_bytes"] == (out / f"trace_{label}.csv").stat().st_size
+
 
 class TestBounds:
     def test_values(self, capsys, tmp_path):
@@ -271,6 +284,25 @@ class TestBounds:
                    "--trace", trace, "--out", out) == 2
         assert "row 1 has c_i" in capsys.readouterr().err
         assert not (out / "bound_curve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:1], "not a trace export with a c_i column"),
+            (lambda lines: [lines[0].replace("c_i", "c")] + lines[1:],
+             "not a trace export with a c_i column"),
+            (lambda lines: lines[:3] + ["4,0.1"] + lines[4:], r"trace\.csv:4: a row has no 'c_i'"),
+            (lambda lines: lines[:2] + ["2,0,x,"] + lines[3:],
+             r"trace\.csv:3: could not convert string to float: 'x'"),
+        ],
+        ids=["header-only", "no-c_i-column", "short-row", "bad-value"],
+    )
+    def test_malformed_trace_is_input_error(self, tmp_path, capsys, edit, message):
+        lines = (DATA / "trace_independent_y_to_x.csv").read_text().splitlines()
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(edit(lines)) + "\n")
+        assert run("bounds", "--m", 3, "--d", 1, "--n", 120, "--trace", trace) == 2
+        assert re.search(message, capsys.readouterr().err)
 
 
 class TestDsep:

@@ -1,16 +1,20 @@
+import csv
 import datetime as dt
 import io
+import random
+import warnings
 
 import numpy as np
 import pytest
 
-from causalpath.core import Alphabet
+from causalpath.core import Alphabet, SymbolSeq
 from causalpath.ingest import (
     PriceSeries,
     QuantizerSpec,
     align_calendars,
     load_price_csv,
     pct_change_quantize,
+    read_csv_column,
     read_symbol_csv,
     shift_for_market_order,
     write_symbol_csv,
@@ -369,3 +373,166 @@ class TestSymbolIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             read_symbol_csv(path)
+
+
+class TestPriceSeries:
+    @pytest.mark.parametrize(
+        "days",
+        [
+            (D(2020, 1, 2), D(2020, 1, 1)),
+            (D(2020, 1, 1), D(2020, 1, 3), D(2020, 1, 2)),
+            (D(2020, 1, 1), D(2020, 1, 2), D(2020, 1, 2)),
+            (D(2020, 1, 1), D(2020, 1, 1)),
+        ],
+    )
+    def test_unsorted_or_duplicate_dates_raise(self, days):
+        with pytest.raises(ValueError, match="^dates must be strictly increasing$"):
+            PriceSeries(days, np.ones(len(days)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 40])
+    def test_increasing_dates_accepted(self, n):
+        days = tuple(D(2019, 12, 30) + dt.timedelta(days=3 * k) for k in range(n))
+        assert len(PriceSeries(days, np.ones(n))) == n
+
+
+def _per_row_symbol_csv(seq, dates=None):
+    """Test-local copy of the per-row symbol writer."""
+    keys = range(1, len(seq) + 1) if dates is None else dates
+    rows = "".join(f"{key},{int(sym)}\n" for key, sym in zip(keys, seq.data))
+    return ("i,symbol\n" if dates is None else "date,symbol\n") + rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("dated", [None, "dates", "strings"])
+def test_symbol_writer_matches_per_row_reference(n, dated):
+    rng = np.random.default_rng(n)
+    seq = SymbolSeq(Alphabet(3), rng.integers(0, 3, n))
+    days = tuple(D(1999, 12, 31) + dt.timedelta(days=k) for k in range(n))
+    dates = {None: None, "dates": days, "strings": [d.isoformat() for d in days]}[dated]
+    buf = io.StringIO()
+    write_symbol_csv(buf, seq, dates)
+    # line lists keep a failure's report short
+    want = _per_row_symbol_csv(seq, None if dated is None else days)
+    assert buf.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def _per_row_column(path, name, kind):
+    """Test-local copy of the csv.reader scan the column reader replaced."""
+    with open(path, newline="") as fp:
+        reader = csv.reader(fp)
+        header = [f.strip().lower() for f in next((r for r in reader if r), [])]
+        if name not in header:
+            return None
+        col = header.index(name)
+        try:
+            return [kind(row[col]) for row in reader if row]
+        except IndexError:
+            raise ValueError(f"{path}:{reader.line_num}: a row has no '{name}' field") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _per_row_read_csv_column(path, name, kind):
+    values = _per_row_column(path, name, kind)
+    return None if values is None else np.array(values, np.int64 if kind is int else np.float64)
+
+
+def _per_row_read_symbol_csv(path, alphabet=None):
+    """Test-local copy of the per-row symbol reader."""
+    symbols = _per_row_column(path, "symbol", int)
+    if symbols is None:
+        raise ValueError(f"{path}: need a 'symbol' column")
+    if not symbols:
+        raise ValueError(f"{path}: no symbols")
+    if alphabet is None:
+        alphabet = Alphabet(max(2, max(symbols) + 1))
+    try:
+        return SymbolSeq.from_list(alphabet, symbols)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _outcome(read, *args):
+    """What a reader gives: values (with alphabet or dtype), or the error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = read(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    if isinstance(out, SymbolSeq):
+        return out.alphabet, out.data.dtype, out.data.tolist()
+    # the bits: NaN-aware and sign-of-zero-aware
+    return None if out is None else (out.dtype, out.tobytes())
+
+
+READER_CORPUS = [
+    "i,symbol\n1,0\n2,2\n3,1\n",
+    "\n\n\ni,symbol\n1,0\n2,1\n",  # blank lines before the header
+    "i,symbol\r\n1,0\r\n2,2\r\n",  # CRLF
+    "i,symbol\r1,0\r2,1\r",  # CR only
+    "i,symbol\n1, 1\n2,\t2 \n3,0  \n",  # whitespace-padded values
+    "i,symbol\n1,+1\n2,-0\n",
+    'i,symbol\n1,"1"\n2,"2"\n',  # quoted values
+    '"x,5,y",symbol\n"a,7,b",1\n',  # quoted delimiters before the column
+    "i,symbol\n1,1_0\n",
+    "i,symbol\n1,1.0\n",
+    "i,symbol\n1,1e0\n",
+    "i,symbol\n1,#1\n",
+    "i,symbol\n1,0x1\n",
+    f"i,symbol\n1,{2**70}\n",
+    f"i,symbol\n1,{-2**70}\n",
+    f"i,symbol\n1,{2**63}\n",
+    "i,symbol\n1,-1\n",
+    "i,symbol\n1,5\n",
+    "i,symbol\n1,0\n2\n",  # short row
+    "i,symbol\n1,0\n2,\n",  # empty field
+    "i,symbol\n1,0\n \n",  # white-space row
+    "i,symbol,extra\n1,0,x\n2,2,y,z\n",  # extra columns
+    "symbol,i\n0,1\n2,2\n",  # 'symbol' not last
+    "\n Symbol ,date\n0,2020-01-01\n\n2,2020-01-02\n",
+    "i,symbol\n",  # empty body
+    "i,symbol\n\n\r\n",  # blank body
+    "i,symbol",
+    "",
+    "i,value\n1,0\n",
+    "i,symbol\n1,1\x1c\n",  # a separator int() rejects and numpy skips
+    "i,symbol\n1,1\x0b\n",
+    "i,symbol\n1,\u0661\n",  # a non-ASCII digit int() accepts
+    "i,symbol\n1,1\u01fe\n",  # non-ASCII text int() rejects
+    "i,symbol\n1,\x00\n",
+]
+
+
+@pytest.mark.parametrize("text", READER_CORPUS)
+@pytest.mark.parametrize("alphabet", [None, Alphabet(4)])
+def test_symbol_reader_matches_per_row_reference(tmp_path, text, alphabet):
+    path = tmp_path / "sym.csv"
+    path.write_text(text, newline="")
+    assert _outcome(read_symbol_csv, path, alphabet) == _outcome(
+        _per_row_read_symbol_csv, path, alphabet)
+
+
+_TOKENS = ["0", "1", "2", "-1", "7", " ", "\t", "+", "-", "_", ".", "e", "x", '"', ",",
+           "\r", "\n", "\r\n", "#", "\x0c", "\x1d", "\x00", "\u00e9", "nan", "inf",
+           "1e5", "9" * 20, ""]
+
+
+def test_column_reader_matches_per_row_reference_on_random_files(tmp_path):
+    rng = random.Random(19)
+    path = tmp_path / "f.csv"
+    for _ in range(400):
+        header = rng.choice(["i,symbol", "symbol", " Symbol ,c_i", "\n\nc_i,SYMBOL", "a,b"])
+        lines = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.6:
+                fields = [str(rng.randint(-2, 4)) for _ in range(rng.randint(1, 3))]
+                lines.append(",".join(fields) + rng.choice(["\n", "\r\n", "\r"]))
+            else:
+                lines.append("".join(rng.choices(_TOKENS, k=rng.randint(0, 5))) + "\n")
+        text = header + rng.choice(["\n", "\r\n"]) + "".join(lines)
+        path.write_text(text, newline="")
+        assert _outcome(read_symbol_csv, path) == _outcome(_per_row_read_symbol_csv, path), text
+        for name, kind in (("symbol", int), ("c_i", float)):
+            assert _outcome(read_csv_column, path, name, kind) == _outcome(
+                _per_row_read_csv_column, path, name, kind), text

@@ -11,6 +11,7 @@ from causalpath.core import Alphabet
 from causalpath.ctw import ContextSchema
 from causalpath.markov import exact_pdi_rate, mc_di_rate, simulate
 from causalpath.measure import (
+    _CHUNK,
     CausalTrace,
     EstimatorConfig,
     abs_log_ratio_sum,
@@ -366,6 +367,44 @@ class TestExports:
             row.append("" if math.isnan(b) else f"{b:.12g}")
             out.append(",".join(row) + "\n")
         return "".join(out)
+
+    @staticmethod
+    def _edge_trace(n, with_truth):
+        """A trace of random values with NaN bounds at the start, in the middle
+        and at the end, and inf, NaN, -0.0 and the smallest subnormal among
+        each column's values."""
+        rng = np.random.default_rng(n)
+        cols = [rng.random(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(5)]
+        specials = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e300, 2.0**53, 1e-5)
+        for col in cols:
+            spots = rng.permutation(n)
+            for k, v in enumerate(specials):
+                col[spots[k :: 2 * len(specials)]] = v
+        bound = rng.random(n) * 100
+        bound[: min(n, 8)] = np.nan
+        bound[n // 2 :: 97] = np.nan
+        bound[-1:] = np.nan
+        bound[n // 3 :: 89] = -0.0
+        est, c, truth, err = cols[:4]
+        trace = CausalTrace(est, c, np.zeros(n), bound, cols[4], cols[4])
+        if with_truth:
+            trace.truth_bits, trace.cum_abs_err = truth, err
+        return trace
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_column_export_matches_per_row_export_on_edge_values(self, n, with_truth):
+        trace = self._edge_trace(n, with_truth)
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        # line lists keep a failure's report short
+        want = self._per_row_csv(trace).splitlines(keepends=True)
+        assert buf.getvalue().splitlines(keepends=True) == want
+        records = trace.to_records()
+        assert len(records) == n
+        for i in range(n):
+            bound = float(trace.cum_bound[i])
+            assert records[i]["cum_bound"] == (None if math.isnan(bound) else bound)
 
     @pytest.mark.parametrize("with_truth", [False, True])
     def test_column_export_matches_per_row_export(self, with_truth):

@@ -18,6 +18,7 @@ import csv
 import datetime as dt
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Union
 
@@ -214,9 +215,14 @@ def read_csv_column(path, name: str, kind: type) -> Optional[np.ndarray]:
         return np.empty(0, dtype)
     if body.isascii() and not any(c in body for c in _SCAN_ONLY):
         try:
-            return np.loadtxt(io.StringIO(body), delimiter=",", usecols=col, dtype=dtype,
-                              comments=None, ndmin=1)
-        except ValueError:
+            # numpy 1.23-1.26 parse an integer field int() rejects ('1.7', 'nan',
+            # 2**70) through float, truncate it and only warn; as an error the
+            # warning makes loadtxt fail, and the scan below reports the row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(io.StringIO(body), delimiter=",", usecols=col,
+                                  dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
             pass
     rows = csv.reader(io.StringIO(body, newline=""))
     try:

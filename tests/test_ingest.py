@@ -452,11 +452,12 @@ def _per_row_read_symbol_csv(path, alphabet=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _outcome(read, *args):
-    """What a reader gives: values (with alphabet or dtype), or the error."""
+def _outcome(read, *args, filters="error"):
+    """What a reader gives: values (with alphabet or dtype), or the error.
+    Warnings are errors unless `filters` names another action."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter(filters)
             out = read(*args)
     except Exception as exc:  # the class and message are what is compared
         return type(exc), str(exc)
@@ -511,6 +512,42 @@ def test_symbol_reader_matches_per_row_reference(tmp_path, text, alphabet):
     path.write_text(text, newline="")
     assert _outcome(read_symbol_csv, path, alphabet) == _outcome(
         _per_row_read_symbol_csv, path, alphabet)
+
+
+def _loadtxt_parsing_ints_via_float(real):
+    """np.loadtxt as numpy 1.23-1.26 have it: an int64 field int() rejects
+    but float() takes is truncated, with a DeprecationWarning, and only a
+    warning raised as an error makes the call fail (as a ValueError)."""
+    def loadtxt(fp, *, dtype, **kw):
+        text = fp.read()
+        try:
+            return real(io.StringIO(text), dtype=dtype, **kw)
+        except ValueError:
+            if dtype is not np.int64:
+                raise
+        values = real(io.StringIO(text), dtype=np.float64, **kw)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string to int64") from exc
+        with np.errstate(invalid="ignore"):
+            return values.astype(np.int64)
+    return loadtxt
+
+
+@pytest.mark.parametrize("filters", ["ignore", "default", "error"])
+@pytest.mark.parametrize("old_numpy", [False, True])
+@pytest.mark.parametrize("value", ["1.0", "1.7", "1e0", "nan", "-inf", str(2**70),
+                                   str(-2**63 - 1), "1"])
+def test_symbol_reader_rejects_what_int_rejects_under_any_warning_filter(
+        tmp_path, monkeypatch, filters, old_numpy, value):
+    if old_numpy:
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_parsing_ints_via_float(np.loadtxt))
+    path = tmp_path / "x.csv"
+    path.write_text(f"i,symbol\n1,0\n2,{value}\n")
+    assert _outcome(read_symbol_csv, path, filters=filters) == _outcome(
+        _per_row_read_symbol_csv, path)
 
 
 _TOKENS = ["0", "1", "2", "-1", "7", " ", "\t", "+", "-", "_", ".", "e", "x", '"', ",",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import AbsoluteContinuityError, Alphabet, SymbolSeq
-from .ctw import ContextSchema, regret_bound_plain, regret_bound_side_info
+from .ctw import ContextSchema
 from .graphs import build_unrolled_network, classify_markovicity
 from .ingest import (
     QuantizerSpec,
@@ -210,45 +210,30 @@ def cmd_estimate(args) -> int:
 def cmd_bounds(args) -> int:
     m = args.m
     side_m = args.side_m or m
-    restricted = ContextSchema(Alphabet(m), None, args.d, 0)
-    complete = ContextSchema(Alphabet(m), Alphabet(side_m), args.d, 0)
-    report: dict = {
-        "m": m,
-        "side_m": side_m,
-        "d": args.d,
-        "n": args.n,
-        "restricted": {
-            "L": restricted.leaf_count(),
-            "bound_bits": regret_bound_plain(m, restricted.leaf_count(), args.n),
-        },
-        "complete": {
-            "L": complete.leaf_count(),
-            "S": complete.node_count(),
-            "bound_bits": regret_bound_side_info(
-                m, complete.leaf_count(), complete.node_count(), args.n
-            ),
-        },
+    # estimate's checks of depth and staleness
+    config = EstimatorConfig(Alphabet(m), Alphabet(side_m), depth=args.d, staleness=args.k)
+    schemas = {
+        "restricted": ContextSchema(config.alphabet_x, None, args.d, 0),
+        "complete": ContextSchema(config.alphabet_x, config.alphabet_y, args.d, 0),
     }
     if args.k is not None:
-        stale = ContextSchema(Alphabet(m), Alphabet(side_m), args.d, args.k)
-        report["stale"] = {
-            "k": args.k,
-            "L": stale.leaf_count(),
-            "S": stale.node_count(),
-            "bound_bits": regret_bound_side_info(
-                m, stale.leaf_count(), stale.node_count(), args.n
-            ),
-        }
-    print(f"restricted predictor: L={report['restricted']['L']}"
-          f" bound={report['restricted']['bound_bits']:.2f} bits")
-    print(f"complete predictor:   L={report['complete']['L']} S={report['complete']['S']}"
-          f" bound={report['complete']['bound_bits']:.2f} bits")
-    if "stale" in report:
-        print(f"stale predictor:      L={report['stale']['L']} S={report['stale']['S']}"
-              f" bound={report['stale']['bound_bits']:.2f} bits")
+        schemas["stale"] = ContextSchema(config.alphabet_x, config.alphabet_y, args.d, args.k)
+    report: dict = {"m": m, "side_m": side_m, "d": args.d, "n": args.n}
+    lines = []  # printed once every bound is defined
+    for name, schema in schemas.items():
+        entry = {"k": args.k} if name == "stale" else {}
+        entry["L"] = schema.leaf_count()
+        line = f"{name + ' predictor:':21} L={entry['L']}"
+        if schema.side_alphabet is not None:
+            entry["S"] = schema.node_count()
+            line += f" S={entry['S']}"
+        entry["bound_bits"] = schema.regret_bound(args.n)
+        report[name] = entry
+        lines.append(f"{line} bound={entry['bound_bits']:.2f} bits")
+    print("\n".join(lines))
     if args.trace:
-        reference = stale if args.k is not None else restricted
-        curve = _bound_curve_from_trace(args.trace, complete, reference)
+        reference = schemas.get("stale", schemas["restricted"])
+        curve = _bound_curve_from_trace(args.trace, schemas["complete"], reference)
         report["trace"] = args.trace
         if args.out:
             outdir = _outdir(args)

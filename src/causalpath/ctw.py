@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -97,6 +95,15 @@ class ContextSchema:
         sizes = self.level_sizes()
         return sum(math.prod(sizes[:j]) for j in range(len(sizes) + 1))
 
+    def regret_bound(self, n):
+        """Worst-case regret bound (bits) of a CTW on this schema, elementwise
+        over horizons n: the plain bound without side information, else the
+        side-information bound of the schema's L leaves and S nodes."""
+        m, L = self.target_alphabet.size, self.leaf_count()
+        if self.side_alphabet is None:
+            return regret_bound_plain(m, L, n)
+        return regret_bound_side_info(m, L, self.node_count(), n)
+
     def key_layout(self) -> tuple[list[int], list[int]]:
         """(offsets, weights): the key of a level-j node is offsets[j] plus
         the mixed-radix code of its context prefix, in which level i's digit
@@ -157,23 +164,14 @@ class ContextSchema:
         return tuple(ctx)
 
 
-def _log2(v: np.ndarray) -> np.ndarray:
-    """math.log2 of each entry: numpy's vector log2 (and power) round some
-    results unlike the scalar calls of the row-by-row walk."""
-    return np.fromiter(map(math.log2, v.tolist()), np.float64, v.size)
-
-
-def _exp2(v: np.ndarray) -> np.ndarray:
-    """2.0 ** x of each entry, rounded as the scalar power rounds it."""
-    return np.fromiter(map(pow, repeat(2.0), v.tolist()), np.float64, v.size)
-
-
 def _running_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Running sums down the rows of vals, restarted at each group start.
 
     Groups of similar length are padded with zeros into one 2-D block per
-    power-of-two width and summed along its rows, so each sum is sequential
-    like a scalar loop's."""
+    power-of-two width and summed along its rows, so each group's sum is
+    sequential from its own first row. One cumsum over all rows, differenced
+    at the starts, would cancel each group's small sums against the large
+    sums of the groups before it and lose their low bits."""
     if starts.size == 1:
         return np.cumsum(vals, axis=0)
     lens = np.diff(starts, append=vals.shape[0])
@@ -197,15 +195,10 @@ def _mix(pred, counts, total, logs) -> np.ndarray:
     kt = (counts + 0.5) / (total + 0.5 * counts.shape[1])[:, None]
     if pred is None:
         return kt
-    alpha = np.minimum(_exp2(-1.0 + logs[:, 0] - logs[:, 2]), 1.0)[:, None]  # clip rounding
+    alpha = np.minimum(np.exp2(-1.0 + logs[:, 0] - logs[:, 2]), 1.0)[:, None]  # clip rounding
     kt *= alpha
     kt += (1.0 - alpha) * pred
     return kt
-
-
-def _normalized(pred: np.ndarray) -> np.ndarray:
-    """Rows divided by their sums, each summed left to right."""
-    return pred / reduce(np.add, pred.T)[:, None]
 
 
 class ContextTree:
@@ -276,7 +269,7 @@ class ContextTree:
         pred = None if len(slots) == len(keys) else np.full((1, self._m), 1.0 / self._m)
         for s in slots[::-1]:
             pred = _mix(pred, self._counts[[s]], self._total[[s]], self._logs[[s]])
-        return ProbDist(self.schema.target_alphabet, _normalized(pred)[0])
+        return ProbDist(self.schema.target_alphabet, (pred / pred.sum(axis=1, keepdims=True))[0])
 
     def observe(self, context, symbol: int) -> None:
         """Record symbol under context, updating counts and log-probabilities
@@ -292,14 +285,17 @@ class ContextTree:
         depth + 1) block from ContextSchema.key_paths and symbols the rows'
         target symbols, both unchecked (the caller validates its streams
         once). Returns the (rows, m) predictive laws, each taken before its
-        row's symbol, bit for bit those of a row-by-row walk.
+        row's symbol, bit for bit those of a row-by-row walk on the same
+        numpy primitives.
 
         The sweep runs level by level, leaf to root. A stable sort groups
         each level's rows by node in row order; counts are running counts
         and log_pe and child_lpw running sums that start from the stored
-        values, so every addition comes in the order of the row-by-row walk.
-        Each row's change of a node's log_pw is added into its parent's
-        child_lpw, and the mixture row is carried up alongside."""
+        values. Each node's sums stay sequential (see _running_sums), so
+        they never cancel against other nodes' large sums, and every addition
+        comes in the order of the row-by-row walk. Each row's change of a
+        node's log_pw is added into its parent's child_lpw, and the mixture
+        row is carried up alongside."""
         hits = np.asarray(symbols)[:, None] == np.arange(self._m)  # one-hot rows
         rows, m = hits.shape
         at = np.arange(rows)
@@ -321,7 +317,7 @@ class ContextTree:
             total = (self._total[slots] - starts)[group] + at
             stored = self._logs[slots]
             logs = np.zeros((rows, 3))  # each row's logs after it
-            logs[:, 0] = _log2((counts[h] + 0.5) / (total + 0.5 * m))  # the KT log-terms
+            logs[:, 0] = np.log2((counts[h] + 0.5) / (total + 0.5 * m))  # the KT log-terms
             if level < self._depth:
                 logs[:, 1] = delta[order]
             logs[starts, :2] += stored[:, :2]
@@ -332,7 +328,7 @@ class ContextTree:
                 # log2(2**a + 2**b) for the two halves of the mixture
                 a, b = -1.0 + logs[:, 0], -1.0 + logs[:, 1]
                 hi, lo = np.maximum(a, b), np.minimum(a, b)
-                logs[:, 2] = hi + _log2(1.0 + _exp2(lo - hi))
+                logs[:, 2] = hi + np.log2(1.0 + np.exp2(lo - hi))
             # each row's logs before it: its group's previous row, or the stored values
             before = np.concatenate([logs[-1:], logs[:-1]])
             before[starts] = stored
@@ -342,7 +338,7 @@ class ContextTree:
             self._counts[slots] = counts[last] + h[last]
             self._total[slots] = total[last] + 1
             self._logs[slots] = logs[last]
-        return _normalized(pred)
+        return pred / pred.sum(axis=1, keepdims=True)
 
     @property
     def log2_block_probability(self) -> float:

@@ -28,13 +28,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .core import Alphabet, SymbolSeq
-from .ctw import (
-    ContextSchema,
-    ContextTree,
-    _log2,
-    regret_bound_plain,
-    regret_bound_side_info,
-)
+from .ctw import ContextSchema, ContextTree
 from .markov import (
     JointMarkovModel,
     causal_measure_path,
@@ -152,20 +146,14 @@ def bound_curve(schema_c: ContextSchema, schema_r: ContextSchema, cvec: np.ndarr
     budgets defined, then per step the complete and reference (plain without
     side information) budgets and the running deviation bound, NaN before
     first. From first on mc >= L(m - 1) + S > 1: the premise always holds."""
-    n, m = cvec.size, schema_c.target_alphabet.size
-    lc, sc, lr = schema_c.leaf_count(), schema_c.node_count(), schema_r.leaf_count()
-    first = max(lc, lr)
+    n = cvec.size
+    first = max(schema_c.leaf_count(), schema_r.leaf_count())
     mc, mr, bound = (np.full(n, np.nan) for _ in range(3))
     c_sq = np.cumsum(cvec**2)
     for lo in range(first - 1, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         steps = np.arange(lo + 1, hi + 1)
-        mc[lo:hi] = regret_bound_side_info(m, lc, sc, steps)
-        mr[lo:hi] = (
-            regret_bound_plain(m, lr, steps)
-            if schema_r.side_alphabet is None
-            else regret_bound_side_info(m, lr, schema_r.node_count(), steps)
-        )
+        mc[lo:hi], mr[lo:hi] = schema_c.regret_bound(steps), schema_r.regret_bound(steps)
         bound[lo:hi] = causality_regret_bound(mc[lo:hi], mr[lo:hi], np.sqrt(c_sq[lo:hi]))
     return first, mc, mr, bound
 
@@ -184,11 +172,12 @@ def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_sna
         syms = xs[lo:hi]
         pc = tree_c.update(schema_c.key_paths(xs, ys, lo, hi), syms)
         pr = tree_r.update(schema_r.key_paths(xs, ys, lo, hi), syms)
-        ratios = np.log2(pc) - np.log2(pr)
+        logs = np.log2(pc), np.log2(pr)
+        ratios = logs[0] - logs[1]
         est = np.matmul(pc[:, None, :], ratios[:, :, None])[:, 0, 0]
         cols[0, lo:hi] = np.where(est < 0.0, 0.0, est)
         cols[1, lo:hi] = np.abs(ratios).sum(axis=1)
-        cols[2:, lo:hi] = [-_log2(p[np.arange(hi - lo), syms]) for p in (pc, pr)]
+        cols[2:, lo:hi] = [-lp[np.arange(hi - lo), syms] for lp in logs]
         if snaps is not None:
             snaps[0][lo:hi], snaps[1][lo:hi] = pc, pr
     elapsed = time.perf_counter() - t0
@@ -279,16 +268,16 @@ def estimate_partial_trace(
     predictor denied the newest `staleness` side samples.
 
     A staleness of at least the stream length never exposes any side symbol,
-    so the reference collapses to the plain restricted predictor.
+    so the reference and the truth collapse to the restricted ones: the
+    trace is then estimate_causal_trace's.
     """
     if config.staleness is None:
         raise ValueError("partial trace requires a staleness in the config")
-    xs, ys = _check_inputs(x, y, config, truth_model)
     k = config.staleness
-    if k >= xs.size:
-        schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
-    else:
-        schema_r = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, k)
+    if k >= len(x):
+        return estimate_causal_trace(x, y, config, truth_model, keep_snapshots)
+    xs, ys = _check_inputs(x, y, config, truth_model)
+    schema_r = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, k)
     truth = None if truth_model is None else lambda: partial_measure_path(truth_model, xs, ys, k)
     return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
 

@@ -15,7 +15,7 @@ import pytest
 
 from causalpath.cli import main as cli_main
 from causalpath.core import Alphabet
-from causalpath.ctw import _log2, regret_bound_plain, regret_bound_side_info
+from causalpath.ctw import regret_bound_plain, regret_bound_side_info
 from causalpath.graphs import (
     build_unrolled_network,
     classify_markovicity,
@@ -152,15 +152,15 @@ def test_04_regret_bound_containment():
             # per-predictor realized regret against the in-class truth: the
             # restricted laws of one filter run, the first 200 also stepped
             # one symbol at a time, and the complete laws at the order-1
-            # window codes; log-losses per element as math.log2 rounds them
+            # window codes; log-losses per element, as the trace takes them
             xs, ys = x.data, y.data
             rows = RestrictedFilter(model)._run(xs.tolist())
             filt = RestrictedFilter(model)
             for i in range(200):
                 assert np.array_equal(filt.predict().probs, rows[i])
                 filt.observe(int(xs[i]))
-            true_r = -_log2(rows[np.arange(xs.size), xs])
-            true_c = -_log2(model.kernel_x[xs[:-1] + model.mx * ys[:-1], xs[1:]])
+            true_r = -np.log2(rows[np.arange(xs.size), xs])
+            true_c = -np.log2(model.kernel_x[xs[:-1] + model.mx * ys[:-1], xs[1:]])
             reg_c = np.cumsum(trace.logloss_complete[1:] - true_c)
             reg_r = np.cumsum(trace.logloss_reference[1:] - true_r[1:])
             n_pref = np.arange(2, 10_001)  # prefix length of each regret entry

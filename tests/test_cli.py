@@ -137,6 +137,18 @@ class TestEstimate:
         assert first["reference_leaves"] == 27
         assert first["reference_nodes"] == 31
 
+    def test_staleness_beyond_length_with_model(self, tmp_path):
+        # K >= n: the truth column is the restricted measure, not an
+        # enumeration of every hidden side path
+        sim = tmp_path / "sim"
+        run("simulate", "--scenario", "bidirectional", "--n", 40, "--seed", 3, "--out", sim)
+        mpath = tmp_path / "model.json"
+        bidirectional_model().save(mpath)
+        out = tmp_path / "est"
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv", "--model", mpath,
+                   "--k", 50, "--out", out) == 0
+        assert "truth_bits" in (out / "trace_y_to_x.csv").read_text().splitlines()[0]
+
     def test_model_supplies_alphabets(self, tmp_path):
         # short binary streams never show the ternary model's top symbol
         mpath = tmp_path / "model.json"
@@ -243,6 +255,14 @@ class TestBounds:
         assert run("bounds", "--m", 3, "--d", 1, "--k", 1, "--n", 50000) == 0
         text = capsys.readouterr().out
         assert "L=27 S=31" in text
+
+    @pytest.mark.parametrize("flag, message", [("--k", "staleness must be >= 1 when given"),
+                                               ("--d", "depth must be >= 1")])
+    def test_depth_and_staleness_checked_like_estimate(self, capsys, flag, message):
+        assert run("bounds", "--m", 3, "--n", 10000, flag, 0) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_horizon_below_leaves_is_input_error(self):
         assert run("bounds", "--m", 3, "--d", 1, "--n", 2) == 2

@@ -494,13 +494,28 @@ class TestFlatStorage:
         assert built == []
 
 
+def _one_element(f):
+    """f applied to a one-element array, as a float."""
+    return lambda v: float(f(np.array([v]))[0])
+
+
+# (log2, exp2, row sum) of a walk: numpy's elementwise kernels and row sum, as
+# the block update uses them, or scalar math summed left to right
+NUMPY_PRIMITIVES = (
+    _one_element(np.log2), _one_element(np.exp2), lambda row: np.array([row]).sum(axis=1)[0]
+)
+SCALAR_PRIMITIVES = (math.log2, lambda v: pow(2.0, v), sum)
+
+
 class WalkTree:
     """Test-local copy of the row-by-row CTW walk that the block update
     replaced: per step, a leaf-to-root mixture over the key path's slots,
-    then a leaf-to-root fold of the symbol into every node on the path."""
+    then a leaf-to-root fold of the symbol into every node on the path,
+    computed with the given (log2, exp2, row sum) primitives."""
 
-    def __init__(self, m, depth):
+    def __init__(self, m, depth, primitives=NUMPY_PRIMITIVES):
         self.m, self.depth = m, depth
+        self.log2, self.exp2, self.sum = primitives
         self.slot, self.counts, self.total = {}, [], []
         self.log_pe, self.log_pw, self.child_lpw = [], [], []
         self.fold([0], [None], None)
@@ -521,13 +536,13 @@ class WalkTree:
         for s in slots[-2::-1]:
             if s is None:
                 continue
-            alpha = 2.0 ** (-1.0 + self.log_pe[s] - self.log_pw[s])
+            alpha = self.exp2(-1.0 + self.log_pe[s] - self.log_pw[s])
             if alpha > 1.0:
                 alpha = 1.0
             beta = 1.0 - alpha
             denom = self.total[s] + half_m
             pred = [alpha * ((c + 0.5) / denom) + beta * p for c, p in zip(self.counts[s], pred)]
-        norm = sum(pred)
+        norm = self.sum(pred)
         return [p / norm for p in pred]
 
     def fold(self, keys, slots, sym):
@@ -545,7 +560,7 @@ class WalkTree:
         for level in range(self.depth, -1, -1):
             s = slots[level]
             cs = self.counts[s]
-            self.log_pe[s] += math.log2((cs[sym] + 0.5) / (self.total[s] + half_m))
+            self.log_pe[s] += self.log2((cs[sym] + 0.5) / (self.total[s] + half_m))
             cs[sym] += 1
             self.total[s] += 1
             old_lpw = self.log_pw[s]
@@ -556,7 +571,7 @@ class WalkTree:
                 a, b = -1.0 + self.log_pe[s], -1.0 + self.child_lpw[s]
                 if a < b:
                     a, b = b, a
-                self.log_pw[s] = a + math.log2(1.0 + 2.0 ** (b - a))
+                self.log_pw[s] = a + self.log2(1.0 + self.exp2(b - a))
             delta = self.log_pw[s] - old_lpw
 
 
@@ -589,8 +604,21 @@ def assert_same_state(tree, walk):
         assert tree._logs[s].tolist() == [walk.log_pe[w], walk.child_lpw[w], walk.log_pw[w]]
 
 
+def assert_near_state(tree, walk, rtol):
+    """Every node of the walk exists in the tree with the same counts and
+    its log state within rtol, relative."""
+    assert tree.nodes_allocated == len(walk.slot)
+    for key, w in walk.slot.items():
+        s = tree._slot[key]
+        assert tree._counts[s].tolist() == walk.counts[w]
+        assert tree._total[s] == walk.total[w]
+        logs = [walk.log_pe[w], walk.child_lpw[w], walk.log_pw[w]]
+        assert np.allclose(tree._logs[s], logs, rtol=rtol, atol=0.0)
+
+
 class TestBlockUpdate:
-    """The level-sweep block update equals the row-by-row walk exactly."""
+    """The level-sweep block update equals the row-by-row walk on the same
+    numpy primitives exactly, and the walk on scalar math within 1e-12."""
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -621,6 +649,27 @@ class TestBlockUpdate:
             buf = io.StringIO()
             per_row.dump(buf)
             assert dumps == {buf.getvalue()}
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_blocks_near_scalar_walk(self, m, d):
+        # numpy's SIMD log2/exp2 kernels may round unlike math.log2 and pow:
+        # laws agree within 1e-12 absolute, the log state within 1e-12 relative
+        rng = np.random.default_rng(10 * m + d)
+        n = 600
+        x = rng.integers(0, m, n)
+        x[200:260] = 0
+        y = rng.integers(0, m, n)
+        for kind, schema in block_schemas(m, d).items():
+            if kind == "stale" and d == 0:
+                continue
+            walk = WalkTree(m, schema.total_depth, SCALAR_PRIMITIVES)
+            keys = schema.key_paths(x, y).tolist()
+            expected = np.array([walk.step(keys[i], int(x[i])) for i in range(n)])
+            tree, got = run_blocks(schema, x, y, 97)
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-12), kind
+            assert_near_state(tree, walk, 1e-12)
+            assert tree.log2_block_probability == pytest.approx(walk.log_pw[0], rel=1e-12)
 
     def test_long_block_crosses_into_a_second(self):
         # more rows than one block, so stored state carries across blocks

@@ -112,9 +112,13 @@ class TestPartialTrace:
     def test_staleness_beyond_length_collapses_to_restricted(self):
         m = bidirectional_model()
         x, y = simulate(m, 120, seed=9)
-        partial = estimate_partial_trace(x, y, ternary_config(depth=1, staleness=500))
-        plain = estimate_causal_trace(x, y, ternary_config(depth=1))
+        partial = estimate_partial_trace(
+            x, y, ternary_config(depth=1, staleness=500), truth_model=m
+        )
+        plain = estimate_causal_trace(x, y, ternary_config(depth=1), truth_model=m)
         assert np.array_equal(partial.estimate_bits, plain.estimate_bits)
+        # no side symbol is ever exposed: the truth is the restricted one too
+        assert np.array_equal(partial.truth_bits, plain.truth_bits)
         assert partial.metadata["reference"] == "restricted"
 
     def test_requires_staleness(self):

@@ -39,7 +39,6 @@ from .measure import (
     EstimatorConfig,
     bound_curve,
     estimate_causal_trace,
-    estimate_partial_trace,
     plug_in_di_rate,
 )
 from .scenarios import SCENARIO_NAMES, scenario_model
@@ -169,10 +168,7 @@ def cmd_estimate(args) -> int:
         config = EstimatorConfig(
             target.alphabet, side.alphabet, depth=args.d, staleness=args.k, direction=label
         )
-        if args.k is not None:
-            trace = estimate_partial_trace(target, side, config, truth_model=truth)
-        else:
-            trace = estimate_causal_trace(target, side, config, truth_model=truth)
+        trace = estimate_causal_trace(target, side, config, truth_model=truth)
         t0 = time.perf_counter()
         path = _write_trace(outdir, f"trace_{label}", trace, args.format)
         export_s = time.perf_counter() - t0
@@ -209,7 +205,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bounds(args) -> int:
     m = args.m
-    side_m = args.side_m or m
+    side_m = m if args.side_m is None else args.side_m
     # estimate's checks of depth and staleness
     config = EstimatorConfig(Alphabet(m), Alphabet(side_m), depth=args.d, staleness=args.k)
     schemas = {

@@ -38,8 +38,8 @@ from .core import Alphabet, ProbDist
 def kt_predict(counts: Sequence[int], m: int) -> ProbDist:
     """One-step KT (add-1/2) estimate from per-symbol counts.
 
-    Symbol a gets probability (counts[a] + 1/2) / (N + m/2); every entry is
-    strictly positive.
+    Symbol a gets probability (counts[a] + 1/2) / (N + m/2), the KT row that
+    the CTW mixture gives a node; every entry is strictly positive.
     """
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -48,8 +48,7 @@ def kt_predict(counts: Sequence[int], m: int) -> ProbDist:
     arr = np.asarray(counts, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("counts must be nonnegative")
-    total = float(arr.sum())
-    return ProbDist(Alphabet(m), (arr + 0.5) / (total + 0.5 * m))
+    return ProbDist(Alphabet(m), _mix(None, arr[None, :], arr.sum(keepdims=True), None)[0])
 
 
 @dataclass(frozen=True)
@@ -445,22 +444,3 @@ def regret_bound_side_info(m: int, L: int, S: int, n):
     if S < L:
         raise ValueError("node count S must be >= leaf count L")
     return 0.5 * (m - 1) * L * _log2_ratio(n, L) + L * (m - 1) + S
-
-
-@dataclass(frozen=True)
-class RegretBudget:
-    """A regret bound evaluated at one horizon."""
-
-    alphabet_size: int
-    leaves: int
-    nodes: Optional[int]
-    horizon: int
-    bound_bits: float
-
-    @classmethod
-    def plain(cls, m: int, L: int, n: int) -> "RegretBudget":
-        return cls(m, L, None, n, regret_bound_plain(m, L, n))
-
-    @classmethod
-    def with_side_info(cls, m: int, L: int, S: int, n: int) -> "RegretBudget":
-        return cls(m, L, S, n, regret_bound_side_info(m, L, S, n))

@@ -63,9 +63,6 @@ class UnrolledDag:
     def nodes(self) -> list[Node]:
         return [(p, t) for t in range(1, self.horizon + 1) for p in self.processes]
 
-    def parents(self, node: Node) -> set[Node]:
-        return {a for a, b in self.edges if b == node}
-
     def to_edge_list(self) -> str:
         lines = [
             f"{a[0]}:{a[1]} -> {b[0]}:{b[1]}"

@@ -86,6 +86,17 @@ def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
     return out
 
 
+def _window_code(order: int, mx: int, my: int, x_window, y_window) -> int:
+    """Code of a window of `order` pairs from its target and side symbols,
+    oldest first; raises ValueError on a wrong length or a symbol out of range."""
+    xw, yw = _as_array(x_window), _as_array(y_window)
+    if len(xw) != order or len(yw) != order:
+        raise ValueError(f"window length must equal order {order}")
+    if np.any((xw < 0) | (xw >= mx)) or np.any((yw < 0) | (yw >= my)):
+        raise ValueError("window symbol out of alphabet range")
+    return int(_codes(xw + mx * yw, mx * my))
+
+
 def _check_symbols(model: JointMarkovModel, xs: np.ndarray, ys: np.ndarray) -> None:
     """Raise ValueError unless every target and side symbol is in its alphabet."""
     for seq, m in ((xs, model.mx), (ys, model.my)):
@@ -159,13 +170,7 @@ class JointMarkovModel:
 
     def window_index(self, x_window, y_window) -> int:
         """Window code from symbol sequences given oldest first."""
-        xw = _as_array(x_window)
-        yw = _as_array(y_window)
-        if len(xw) != self.order or len(yw) != self.order:
-            raise ValueError(f"window length must equal order {self.order}")
-        if np.any((xw < 0) | (xw >= self.mx)) or np.any((yw < 0) | (yw >= self.my)):
-            raise ValueError("window symbol out of alphabet range")
-        return int(_codes(xw + self.mx * yw, self.pair_count))
+        return _window_code(self.order, self.mx, self.my, x_window, y_window)
 
     def decode_window(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of window_index; returns (x_window, y_window) oldest first."""
@@ -211,17 +216,11 @@ class JointMarkovModel:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for w in range(self.num_windows):
-            xw, yw = self.decode_window(w)
-            rows.append(
-                {
-                    "x_window": xw.tolist(),
-                    "y_window": yw.tolist(),
-                    "x_probs": self.kernel_x[w].tolist(),
-                    "y_probs": self.kernel_y[w].tolist(),
-                }
-            )
+        windows = list(zip(self.window_x_positions.T.tolist(), self.window_y_positions.T.tolist()))
+        rows = [
+            {"x_window": xw, "y_window": yw, "x_probs": px, "y_probs": py}
+            for (xw, yw), px, py in zip(windows, self.kernel_x.tolist(), self.kernel_y.tolist())
+        ]
         out = {
             "format": "causalpath-model",
             "version": 1,
@@ -232,12 +231,8 @@ class JointMarkovModel:
         }
         if self.has_custom_initial:
             out["initial"] = [
-                {
-                    "x_window": self.decode_window(w)[0].tolist(),
-                    "y_window": self.decode_window(w)[1].tolist(),
-                    "prob": float(self.initial[w]),
-                }
-                for w in range(self.num_windows)
+                {"x_window": list(xw), "y_window": list(yw), "prob": p}  # unshared with rows
+                for (xw, yw), p in zip(windows, self.initial.tolist())
             ]
         return out
 
@@ -247,19 +242,14 @@ class JointMarkovModel:
             raise ValueError("not a causalpath model file")
         order = int(data["order"])
         ax, ay = Alphabet(int(data["alphabet_x"])), Alphabet(int(data["alphabet_y"]))
+        if order < 1:
+            raise ValueError("order must be >= 1")
         nwin = (ax.size * ay.size) ** order
-        probe = cls(
-            order,
-            ax,
-            ay,
-            np.full((nwin, ax.size), 1.0 / ax.size),
-            np.full((nwin, ay.size), 1.0 / ay.size),
-        )
 
         def windows(section: str) -> list:
             seen = {}
             for row in data[section]:
-                w = probe.window_index(row["x_window"], row["y_window"])
+                w = _window_code(order, ax.size, ay.size, row["x_window"], row["y_window"])
                 if seen.setdefault(w, row) is not row:
                     raise ValueError(
                         f"{section} lists window x={row['x_window']}, y={row['y_window']} twice"
@@ -729,9 +719,17 @@ def causal_measure_path(model: JointMarkovModel, x_hist, y_hist) -> np.ndarray:
 
 
 def partial_measure_path(model: JointMarkovModel, x_hist, y_hist, k: int) -> np.ndarray:
-    """True partial causal measure (staleness k) at every time step."""
+    """True partial causal measure (staleness k) at every time step. Each
+    step's law enumerates the up to my**min(k, n - 1) hidden side paths, so a
+    k above the enumeration limit fails before any step."""
     xs, ys = _path_pair(model, x_hist, y_hist)
     d, n = model.order, len(xs)
+    paths = model.my ** min(k, max(n - 1, 0))
+    if paths > _BRUTE_PATH_LIMIT:
+        raise ValueError(
+            f"staleness k={k} needs {paths} hidden side paths per step, above the"
+            f" brute-force limit of {_BRUTE_PATH_LIMIT}"
+        )
     head = [
         stale_history_dist(model, xs[:i], ys[: max(0, i - k)]).probs for i in range(min(d + k, n))
     ]

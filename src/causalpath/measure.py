@@ -190,14 +190,34 @@ def _dual_run(xs, ys, schema_c: ContextSchema, schema_r: ContextSchema, keep_sna
     }
 
 
-def _estimate(xs, ys, config, schema_r, keep_snapshots, truth_path) -> CausalTrace:
-    """The trace of one estimate; truth_path, if given, computes the oracle
-    truth column and is timed like the dual run and the bound curve."""
-    n = xs.size
-    mx = config.alphabet_x.size
+def estimate_causal_trace(
+    x: SymbolSeq,
+    y: SymbolSeq,
+    config: EstimatorConfig,
+    truth_model: Optional[JointMarkovModel] = None,
+    keep_snapshots: bool = False,
+) -> CausalTrace:
+    """Per-step causal influence of the side stream y on the target stream x:
+    the complete (coupled-context) predictor against the reference that the
+    config's staleness picks. None gives the restricted (target-only)
+    predictor, k the stale one denied the newest k side samples; a k of at
+    least the stream length never exposes a side symbol, so the reference and
+    the truth are the restricted ones again. The truth path is timed like the
+    dual run and the bound curve. Deterministic in its inputs."""
+    xs, ys = _check_inputs(x, y, config, truth_model)
+    n, k = xs.size, config.staleness
+    if k is not None and k >= n:
+        k = None
+    side = None if k is None else config.alphabet_y
+    schema_r = ContextSchema(config.alphabet_x, side, config.depth, k or 0)
     t0 = time.perf_counter()
-    truth = None if truth_path is None else truth_path()
-    truth_s = None if truth_path is None else time.perf_counter() - t0
+    truth = None
+    if truth_model is not None:
+        truth = (
+            causal_measure_path(truth_model, xs, ys) if k is None
+            else partial_measure_path(truth_model, xs, ys, k)
+        )
+    truth_s = None if truth is None else time.perf_counter() - t0
     schema_c = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, 0)
     (est, cvec, llc, llr), snaps, stats = _dual_run(xs, ys, schema_c, schema_r, keep_snapshots)
     lc, sc, lr = schema_c.leaf_count(), schema_c.node_count(), schema_r.leaf_count()
@@ -218,7 +238,7 @@ def _estimate(xs, ys, config, schema_r, keep_snapshots, truth_path) -> CausalTra
             "depth": config.depth,
             "staleness": config.staleness,
             "n": int(n),
-            "alphabet_x": mx,
+            "alphabet_x": config.alphabet_x.size,
             "alphabet_y": config.alphabet_y.size,
             "reference": "restricted" if sr is None else "stale",
             "complete_leaves": lc,
@@ -241,22 +261,6 @@ def _estimate(xs, ys, config, schema_r, keep_snapshots, truth_path) -> CausalTra
     return trace
 
 
-def estimate_causal_trace(
-    x: SymbolSeq,
-    y: SymbolSeq,
-    config: EstimatorConfig,
-    truth_model: Optional[JointMarkovModel] = None,
-    keep_snapshots: bool = False,
-) -> CausalTrace:
-    """Per-step causal influence of the side stream y on the target stream x:
-    complete (coupled-context) predictor against the restricted
-    (target-only) predictor. Deterministic in its inputs."""
-    xs, ys = _check_inputs(x, y, config, truth_model)
-    schema_r = ContextSchema(config.alphabet_x, None, config.depth, 0)
-    truth = None if truth_model is None else lambda: causal_measure_path(truth_model, xs, ys)
-    return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
-
-
 def estimate_partial_trace(
     x: SymbolSeq,
     y: SymbolSeq,
@@ -264,22 +268,10 @@ def estimate_partial_trace(
     truth_model: Optional[JointMarkovModel] = None,
     keep_snapshots: bool = False,
 ) -> CausalTrace:
-    """Partial causal influence: complete predictor against a stale-context
-    predictor denied the newest `staleness` side samples.
-
-    A staleness of at least the stream length never exposes any side symbol,
-    so the reference and the truth collapse to the restricted ones: the
-    trace is then estimate_causal_trace's.
-    """
+    """estimate_causal_trace for a config that must carry a staleness."""
     if config.staleness is None:
         raise ValueError("partial trace requires a staleness in the config")
-    k = config.staleness
-    if k >= len(x):
-        return estimate_causal_trace(x, y, config, truth_model, keep_snapshots)
-    xs, ys = _check_inputs(x, y, config, truth_model)
-    schema_r = ContextSchema(config.alphabet_x, config.alphabet_y, config.depth, k)
-    truth = None if truth_model is None else lambda: partial_measure_path(truth_model, xs, ys, k)
-    return _estimate(xs, ys, config, schema_r, keep_snapshots, truth)
+    return estimate_causal_trace(x, y, config, truth_model, keep_snapshots)
 
 
 def _check_inputs(x: SymbolSeq, y: SymbolSeq, config: EstimatorConfig, model):

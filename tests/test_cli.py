@@ -149,6 +149,16 @@ class TestEstimate:
                    "--k", 50, "--out", out) == 0
         assert "truth_bits" in (out / "trace_y_to_x.csv").read_text().splitlines()[0]
 
+    def test_staleness_above_the_oracle_limit_fails_before_enumerating(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run("simulate", "--scenario", "bidirectional", "--n", 40, "--seed", 3, "--out", sim)
+        mpath = tmp_path / "model.json"
+        bidirectional_model().save(mpath)
+        assert run("estimate", "--x", sim / "x.csv", "--y", sim / "y.csv", "--model", mpath,
+                   "--k", 14, "--out", tmp_path / "est") == 2
+        err = capsys.readouterr().err
+        assert "staleness k=14" in err and "4782969" in err
+
     def test_model_supplies_alphabets(self, tmp_path):
         # short binary streams never show the ternary model's top symbol
         mpath = tmp_path / "model.json"
@@ -266,6 +276,12 @@ class TestBounds:
 
     def test_horizon_below_leaves_is_input_error(self):
         assert run("bounds", "--m", 3, "--d", 1, "--n", 2) == 2
+
+    @pytest.mark.parametrize("side_m", [0, 1])
+    def test_side_alphabet_below_two_is_input_error(self, capsys, side_m):
+        # 0 is a given size like any other, not an absent flag
+        assert run("bounds", "--m", 3, "--side-m", side_m, "--n", 1000) == 2
+        assert "alphabet size must be >= 2" in capsys.readouterr().err
 
     def test_bound_curve_from_trace(self, tmp_path):
         sim = tmp_path / "sim"

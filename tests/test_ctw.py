@@ -11,7 +11,6 @@ from causalpath.core import Alphabet, SymbolSeq
 from causalpath.ctw import (
     ContextSchema,
     ContextTree,
-    RegretBudget,
     kt_predict,
     regret_bound_plain,
     regret_bound_side_info,
@@ -61,6 +60,14 @@ class TestKT:
     def test_strictly_positive(self):
         p = kt_predict([1000, 0, 0], 3)
         assert np.all(p.probs > 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_equals_the_add_half_formula_exactly(self, m):
+        rng = np.random.default_rng(60 + m)
+        for _ in range(20):
+            counts = rng.integers(0, 500, size=m)
+            expected = (counts + 0.5) / (counts.sum() + m / 2)
+            assert np.array_equal(kt_predict(counts.tolist(), m).probs, expected)
 
 
 def reference_log2_block(observations, depth, m):
@@ -280,7 +287,7 @@ class TestRegretBounds:
             regret_bound_side_info(3, 9, 5, 100)
 
     def test_budget_nondecreasing(self):
-        budgets = [RegretBudget.plain(3, 3, n).bound_bits for n in (10, 100, 1000)]
+        budgets = [regret_bound_plain(3, 3, n) for n in (10, 100, 1000)]
         assert budgets == sorted(budgets)
 
 

@@ -277,6 +277,21 @@ class TestPartialDist:
                 full = brute_conditional(m, x.data, y.data[: len(y) - k])
                 assert np.allclose(window, full, atol=1e-10)
 
+    @pytest.mark.parametrize("model, n, k, paths", [
+        (bidirectional_model(), 15, 14, 3**14), (bidirectional_model(), 40, 39, 3**39),
+        (cross_copy_model(), 40, 21, 2**21),
+    ])
+    def test_path_over_the_limit_fails_up_front(self, model, n, k, paths):
+        x, y = simulate(model, n, seed=2)
+        with pytest.raises(ValueError, match=f"staleness k={k} needs {paths} hidden"):
+            partial_measure_path(model, x.data, y.data, k)
+
+    def test_short_path_under_the_limit_runs(self):
+        # only min(k, n - 1) side symbols are ever hidden
+        m = bidirectional_model()
+        x, y = simulate(m, 5, seed=2)
+        assert partial_measure_path(m, x.data, y.data, 30).shape == (5,)
+
     def test_side_blind_model_gives_kernel_row(self):
         m = iid_influence_model()
         blind = independent_model()
@@ -723,6 +738,49 @@ class TestModelIO:
         assert JointMarkovModel.from_json_dict(data).has_custom_initial
         data[section].append(dict(data[section][1]))
         with pytest.raises(ValueError, match="twice"):
+            JointMarkovModel.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "model",
+        [scenario_model(name) for name in SCENARIO_NAMES]
+        + [random_model(order, mx, my, np.random.default_rng(84 + order))
+           for order, mx, my in ((1, 2, 3), (2, 3, 2), (3, 2, 2))]
+        + [JointMarkovModel(1, B2, B2, np.full((4, 2), 0.5), np.full((4, 2), 0.5),
+                            initial=[0.1, 0.2, 0.3, 0.4])],
+    )
+    def test_save_writes_the_per_window_bytes(self, tmp_path, model):
+        def per_window(m):  # each window decoded on its own, as files were first written
+            rows = [{"x_window": m.decode_window(w)[0].tolist(),
+                     "y_window": m.decode_window(w)[1].tolist(),
+                     "x_probs": m.kernel_x[w].tolist(), "y_probs": m.kernel_y[w].tolist()}
+                    for w in range(m.num_windows)]
+            out = {"format": "causalpath-model", "version": 1, "order": m.order,
+                   "alphabet_x": m.mx, "alphabet_y": m.my, "kernel": rows}
+            if m.has_custom_initial:
+                out["initial"] = [{"x_window": m.decode_window(w)[0].tolist(),
+                                   "y_window": m.decode_window(w)[1].tolist(),
+                                   "prob": float(m.initial[w])} for w in range(m.num_windows)]
+            return out
+
+        import json
+
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert path.read_text() == json.dumps(per_window(model), indent=1)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(order=0), "order must be >= 1"),
+            (lambda d: d["kernel"][1].update(x_window=[]), "window length must equal order 1"),
+            (lambda d: d["kernel"][1].update(y_window=[2]), "window symbol out of alphabet range"),
+            (lambda d: d["kernel"].pop(), "model file does not cover every window"),
+        ],
+    )
+    def test_load_errors_name_the_fault(self, edit, message):
+        data = random_model(1, 2, 2, np.random.default_rng(85)).to_json_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=message):
             JointMarkovModel.from_json_dict(data)
 
     def test_incomplete_file_rejected(self, tmp_path):

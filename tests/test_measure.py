@@ -121,6 +121,18 @@ class TestPartialTrace:
         assert np.array_equal(partial.truth_bits, plain.truth_bits)
         assert partial.metadata["reference"] == "restricted"
 
+    def test_causal_trace_runs_the_stale_reference_the_config_names(self):
+        m = bidirectional_model()
+        x, y = simulate(m, 150, seed=11)
+        config = ternary_config(depth=1, staleness=1)
+        one = estimate_causal_trace(x, y, config, truth_model=m)
+        alias = estimate_partial_trace(x, y, config, truth_model=m)
+        for col in ("estimate_bits", "c", "truth_bits", "cum_bound"):
+            assert np.array_equal(getattr(one, col), getattr(alias, col), equal_nan=True)
+        assert one.metadata["reference"] == "stale"
+        assert one.metadata["reference_leaves"] == 27
+        assert one.metadata["staleness"] == 1
+
     def test_requires_staleness(self):
         m = bidirectional_model()
         x, y = simulate(m, 50, seed=10)
